@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 #: The checkout root (the directory holding ``perfbench/`` and ``src/``).
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -45,17 +47,6 @@ def metric_units() -> tuple[dict[str, str], dict[str, str]]:
     )
 
 
-def percentile(values, q: float) -> float:
-    """Linear-interpolated percentile (q in [0, 100]) of a non-empty sample."""
-    xs = sorted(values)
-    if not xs:
-        raise ValueError("percentile of an empty sample")
-    pos = (len(xs) - 1) * q / 100.0
-    lo = int(pos)
-    hi = min(lo + 1, len(xs) - 1)
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
-
-
 def latency_metrics(latencies_ms: list[float]) -> tuple[dict[str, float], str]:
     """Median and p95 of a latency sample, plus a line stating its size.
 
@@ -63,14 +54,15 @@ def latency_metrics(latencies_ms: list[float]) -> tuple[dict[str, float], str]:
     samples for ten of them to lie beyond it; smaller runs are flagged.
     """
     n = len(latencies_ms)
-    beyond = sum(1 for x in latencies_ms if x > percentile(latencies_ms, 95))
+    p95 = float(np.percentile(latencies_ms, 95))
+    beyond = sum(1 for x in latencies_ms if x > p95)
     note = f"latency samples: {n} ({beyond} beyond p95)"
     if beyond < 10:
         note += "  WARNING: fewer than 10 samples beyond p95"
     return (
         {
             "latency_p50_ms": statistics.median(latencies_ms),
-            "latency_p95_ms": percentile(latencies_ms, 95),
+            "latency_p95_ms": p95,
         },
         note,
     )
@@ -149,8 +141,6 @@ def environment() -> dict:
     from repro.kernels.jit import HAVE_NUMBA
     from repro.util.hostid import machine_identity
 
-    import numpy
-
     def active(module) -> str | None:
         path = module.calibration_path()
         return str(path.name) if module.usable_calibration(path) is not None else None
@@ -164,7 +154,7 @@ def environment() -> dict:
         "dynamic_calibration": active(dyn_cost),
         "numba": HAVE_NUMBA,
         "python": sys.version.split()[0],
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
     }
 
 

@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from repro.service.client import SolveClient
+from repro.service.protocol import encode_instance, encode_line
 
 from common import (
     ROOT,
@@ -46,14 +48,14 @@ from common import (
     descendants,
     latency_metrics,
     layer_table,
-    percentile,
     vm_hwm_mb,
 )
 
 #: Offered load (requests per second).  On a 2-CPU Xeon (2.1 GHz) VM this
 #: mix against ``--workers 1`` kept p95 under the 500 ms limit up to 200
-#: requests/s (p50 25 ms, p95 240 ms) and fell behind at 240/s.  At 75–100/s
-#: the p95 of repeated runs spread by 30–45%; at 40/s it is steadiest.
+#: requests/s (p50 25 ms, p95 240 ms) and fell behind at 240/s.  At 80 and
+#: 120/s queueing sets p95, which then spread 42–108 ms between runs; at 40/s
+#: it spreads least, though still beyond its bound on that VM (README).
 RATE_PER_S = 40.0
 CONNECTIONS = 2
 ALGORITHMS = ("bl", "sbl", "kuw", "greedy")
@@ -72,6 +74,11 @@ DEADLINE_MS = 1000.0
 #: Goodput counts ``ok`` responses within this limit of their due time.
 LATENCY_LIMIT_MS = 500.0
 LINE_LIMIT = 64 * 1024
+#: Every request is well formed, so these statuses mean the server failed
+#: one it should have solved (its own ``check_mis`` rejected the set, or
+#: the solve crashed): a wrong answer, unlike load shedding (``rejected``,
+#: ``expired``) or a dropped connection.
+WRONG_STATUSES = ("error", "bad_request")
 GOLDEN = (5**0.5 - 1) / 2
 
 
@@ -91,20 +98,13 @@ class Request:
 class Schedule:
     requests: list[Request]
     instances: dict[str, object]  # content_hash -> Hypergraph
-    catalog_lines: list[bytes]
+    catalog: list[dict]  # solve requests that publish the by-hash instances
     oversized: int = 0
-
-
-def _line(doc: dict) -> bytes:
-    from repro.service.protocol import encode_line
-
-    return encode_line(doc)
 
 
 def build_schedule(seed: int, seconds: float) -> Schedule:
     """The seeded request mix; the same seed gives the same bytes."""
     from repro.generators import uniform_hypergraph
-    from repro.service.protocol import encode_instance
 
     rng = np.random.default_rng([seed, 3])
     instances: dict[str, object] = {}
@@ -120,9 +120,9 @@ def build_schedule(seed: int, seconds: float) -> Schedule:
         return key
 
     catalog = [new_instance(int(rng.integers(MIN_N, 400))) for _ in range(CATALOG_SIZE)]
-    catalog_lines = [
-        _line({"id": f"warm-{i}", "algorithm": "greedy", "seed": 10**6 + i,
-               "instance": encoded[key]})
+    catalog_docs = [
+        {"id": f"warm-{i}", "algorithm": "greedy", "seed": 10**6 + i,
+         "instance": encoded[key]}
         for i, key in enumerate(catalog)
     ]
     # The mix is stratified so that every seed draws the same multiset of
@@ -171,9 +171,9 @@ def build_schedule(seed: int, seconds: float) -> Schedule:
             doc["content_hash"] = cell[0]
         else:
             doc["instance"] = encoded[cell[0]]
-        requests.append(Request(doc["id"], float(due[i]), _line(doc), cell))
+        requests.append(Request(doc["id"], float(due[i]), encode_line(doc), cell))
     oversized = sum(1 for r in requests if len(r.line) > LINE_LIMIT)
-    return Schedule(requests, instances, catalog_lines, oversized)
+    return Schedule(requests, instances, catalog_docs, oversized)
 
 
 # -- the server process ------------------------------------------------------
@@ -222,50 +222,35 @@ class Server:
             return ""
 
 
-async def _request(socket: str, lines: list[bytes], timeout_s: float = 30.0) -> list[dict]:
-    """Send lines on one connection and read one response per line."""
-    reader, writer = await asyncio.open_unix_connection(socket, limit=2**24)
-    try:
-        for line in lines:
-            writer.write(line)
-        await writer.drain()
-        return [
-            json.loads(await asyncio.wait_for(reader.readline(), timeout_s))
-            for _ in lines
-        ]
-    finally:
-        writer.close()
-        await writer.wait_closed()
-
-
 def _die_with_parent() -> None:
     """Runs in the server child: SIGTERM it if the benchmark dies first."""
     libc = ctypes.CDLL(None, use_errno=True)
     libc.prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG
 
 
-async def _wait_ready(server: Server, timeout_s: float = 60.0) -> None:
+def _wait_ready(server: Server, timeout_s: float = 60.0) -> None:
     deadline = time.monotonic() + timeout_s
     while True:
         if server.proc.poll() is not None:
             raise RuntimeError(f"server exited early:\n{server.log_tail()}")
         try:
-            pong = await _request(server.socket, [_line({"op": "ping"})])
-            if pong[0].get("op") == "pong":
-                return
+            with SolveClient(server.socket) as client:
+                if client.ping():
+                    return
         except (FileNotFoundError, ConnectionError):
             pass
         if time.monotonic() > deadline:
             raise RuntimeError(f"server not ready after {timeout_s}s:\n{server.log_tail()}")
-        await asyncio.sleep(0.02)
+        time.sleep(0.02)
 
 
-async def start_server(name: str, schedule: Schedule, ledger_out: Path | None = None):
+def start_server(name: str, schedule: Schedule, ledger_out: Path | None = None) -> Server:
     """Start a server, wait for it, publish the catalog (warms the pool)."""
     server = Server(name, ledger_out)
     try:
-        await _wait_ready(server)
-        warm = await _request(server.socket, schedule.catalog_lines)
+        _wait_ready(server)
+        with SolveClient(server.socket) as client:
+            warm = [client.request(doc) for doc in schedule.catalog]
         if any(doc.get("status") != "ok" for doc in warm):
             raise RuntimeError(f"catalog publish failed: {warm}")
     except BaseException:
@@ -274,8 +259,9 @@ async def start_server(name: str, schedule: Schedule, ledger_out: Path | None = 
     return server
 
 
-async def server_stats(server: Server) -> dict:
-    return (await _request(server.socket, [_line({"op": "stats"})]))[0]["stats"]
+def server_stats(server: Server) -> dict:
+    with SolveClient(server.socket) as client:
+        return client.stats()
 
 
 # -- the open-loop load generator --------------------------------------------
@@ -430,22 +416,29 @@ def _summarise(gen: LoadGenerator, requests: list[Request]) -> Window:
 
 
 async def _timed_window(server: Server, requests: list[Request]) -> tuple[Window, dict, dict]:
-    before = await server_stats(server)
+    before = server_stats(server)
     gen = LoadGenerator(server.socket)
     await gen.run(requests)
-    after = await server_stats(server)
+    after = server_stats(server)
     return _summarise(gen, requests), before, after
 
 
-def _verify(schedule: Schedule, ok: list[Request]) -> tuple[int, bool]:
-    """Certify every ok response and compare it with an in-process solve."""
+def _verify(schedule: Schedule, window: Window) -> tuple[int, bool]:
+    """Certify every ok response and compare it with an in-process solve.
+
+    Returns (ok responses that failed, whole window correct); a response
+    with one of ``WRONG_STATUSES`` makes the window incorrect too.
+    """
     from repro.hypergraph import check_mis
     from repro.service.server import default_algorithms
 
     solvers = default_algorithms()
     expected: dict[tuple, np.ndarray] = {}
     bad = 0
-    for req in ok:
+    wrong = {s: n for s, n in window.statuses.items() if s in WRONG_STATUSES}
+    if wrong:
+        print(f"service-mixed: well-formed requests failed: {wrong}", file=sys.stderr)
+    for req in window.ok:
         key, algorithm, seed = req.cell
         H = schedule.instances[key]
         got = np.asarray(req.response["independent_set"], dtype=np.intp)
@@ -461,7 +454,7 @@ def _verify(schedule: Schedule, ok: list[Request]) -> tuple[int, bool]:
             print(f"service-mixed: response {req.cell[1:]} differs from a direct solve",
                   file=sys.stderr)
             bad += 1
-    return bad, bad == 0
+    return bad, bad == 0 and not wrong
 
 
 def run(seed: int, seconds: float, trace: bool) -> Outcome:
@@ -483,21 +476,21 @@ async def _run(seed: int, seconds: float, trace: bool) -> Outcome:
             if server is not None:
                 server.stop()
             t0 = time.perf_counter()
-            server = await start_server(name, schedule)
+            server = start_server(name, schedule)
             setups.append(time.perf_counter() - t0)
         try:
             window, before, after = await _timed_window(server, requests)
             peak = server.peak_rss_mb()
         finally:
             server.stop()
-        bad, correct = _verify(schedule, window.ok)
+        bad, correct = _verify(schedule, window)
         attempted = len(requests)
         ok_count = len(window.ok) - bad
         lat, note = latency_metrics(window.latencies_ms)
         good = sum(1 for x in window.ok_latencies_ms if x <= LATENCY_LIMIT_MS)
         report += [note, f"statuses: {window.statuses}, dropped connections: "
                    f"{window.dropped_connections}, generator late p95: "
-                   f"{percentile(window.late_ms, 95):.3f} ms"]
+                   f"{np.percentile(window.late_ms, 95):.3f} ms"]
         metrics = {
             "setup_s": statistics.median(setups),
             "ops_per_s": ok_count / window.span_s,
@@ -511,17 +504,17 @@ async def _run(seed: int, seconds: float, trace: bool) -> Outcome:
     # Traced run: the same schedule against an untraced server, then against
     # a fresh server started through traced_serve.py, which books the
     # service layers' self time inside the server process.
-    plain_server = await start_server(name, schedule)
+    plain_server = start_server(name, schedule)
     try:
         plain, _, _ = await _timed_window(plain_server, requests)
     finally:
         plain_server.stop()
-    plain_bad, plain_correct = _verify(schedule, plain.ok)
+    plain_bad, plain_correct = _verify(schedule, plain)
     plain_ok = len(plain.ok)
     for req in requests:
         req.sent_s = req.done_s = req.response = req.error = None
     ledger_path = RUN_DIR / f"{name}-ledger.json"
-    traced_server = await start_server(name, schedule, ledger_out=ledger_path)
+    traced_server = start_server(name, schedule, ledger_out=ledger_path)
     try:
         traced, before, after = await _timed_window(traced_server, requests)
     finally:
@@ -530,7 +523,7 @@ async def _run(seed: int, seconds: float, trace: bool) -> Outcome:
         server_ledger = json.loads(ledger_path.read_text())
     finally:
         ledger_path.unlink(missing_ok=True)
-    bad, correct = _verify(schedule, traced.ok)
+    bad, correct = _verify(schedule, traced)
     metrics, lines = _traced_metrics(plain, traced, before, after, server_ledger)
     attempted = 2 * len(requests)
     failed = attempted - (plain_ok - plain_bad + len(traced.ok) - bad)
@@ -575,7 +568,7 @@ def _traced_metrics(
         "service.expired_count": float(traced.statuses.get("expired", 0)),
         "service.dropped_connections": float(traced.dropped_connections),
         "exec.self_ms": exec_self,
-        "driver.late_p95_ms": percentile(traced.late_ms, 95) if traced.late_ms else 0.0,
+        "driver.late_p95_ms": float(np.percentile(traced.late_ms, 95)) if traced.late_ms else 0.0,
         "unattributed_ms": unattributed,
         "obs.trace_overhead_fraction": p50_traced / p50_plain - 1.0,
     }

@@ -108,11 +108,13 @@ class _Loop:
                 rc = self.cli.main(
                     ["solve", path, "--algorithm", algorithm, "--seed", str(seed)]
                 )
-        except Exception as exc:  # noqa: BLE001 - a failed op is counted, not fatal
+        except Exception as exc:  # noqa: BLE001 - counted, and fails the run
             rc, text = 1, None
             print(f"solve-files op {index} failed: {exc!r}", file=sys.stderr)
         else:
             text = buf.getvalue() if rc == 0 else None
+            if rc != 0:
+                print(f"solve-files op {index} exited {rc}", file=sys.stderr)
         elapsed = time.perf_counter() - t0
         self.latencies_ms.append(elapsed * 1000.0)
         self.outputs.append((file_index, algorithm, seed, text))
@@ -120,7 +122,12 @@ class _Loop:
 
 
 def _certify(files, outputs) -> tuple[list[bool], bool]:
-    """check_mis every output; return (per-op success, all outputs correct)."""
+    """check_mis every output; return (per-op success, all outputs correct).
+
+    Every op on this corpus must succeed, so a solve that raised or exited
+    non-zero (``repro solve`` runs its own ``check_mis``) fails the run as
+    surely as an output that is not an MIS.
+    """
     from repro.hypergraph import check_mis
 
     ok = []
@@ -128,6 +135,7 @@ def _certify(files, outputs) -> tuple[list[bool], bool]:
     for file_index, algorithm, seed, text in outputs:
         if text is None:
             ok.append(False)
+            correct = False
             continue
         doc = json.loads(text)
         mis = np.asarray(doc["independent_set"], dtype=np.intp)
