@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload solve-files --seed 1 --seconds 30 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 30 --trace 1
+    python3 perfbench/run.py --workload solve-files --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 35 --trace 1
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` is the
 separate traced run that reports the per-layer ledger.  Every metric is
