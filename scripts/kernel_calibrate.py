@@ -129,7 +129,8 @@ def verify_fixture(fixture: Path) -> int:
     2. Re-stamped with the local machine id it must be **honored**: every
        covered bucket's measured winner is what ``select_backend`` picks.
     """
-    from repro.kernels.dispatch import invalidate_calibration_cache, select_backend
+    from repro.kernels.dispatch import select_backend
+    from repro.util.hostid import invalidate
 
     doc = json.loads(fixture.read_text())
     failures: list[str] = []
@@ -144,7 +145,7 @@ def verify_fixture(fixture: Path) -> int:
 
     # 1. Foreign machine_id => ignored, static fallback decides.
     os.environ["REPRO_KERNEL_CALIBRATION"] = str(fixture)
-    invalidate_calibration_cache()
+    invalidate()
     for bucket in doc["buckets"]:
         d = select_backend(_probe_instance(bucket), requested="auto")
         if not d.reason.startswith("auto:"):
@@ -159,7 +160,7 @@ def verify_fixture(fixture: Path) -> int:
         local = fh.name
     try:
         os.environ["REPRO_KERNEL_CALIBRATION"] = local
-        invalidate_calibration_cache()
+        invalidate()
         for bucket, entry in doc["buckets"].items():
             want = "bitset" if entry["bitset"] <= entry["csr"] else "csr"
             d = select_backend(_probe_instance(bucket), requested="auto")
@@ -171,7 +172,7 @@ def verify_fixture(fixture: Path) -> int:
     finally:
         os.unlink(local)
         os.environ.pop("REPRO_KERNEL_CALIBRATION", None)
-        invalidate_calibration_cache()
+        invalidate()
 
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)

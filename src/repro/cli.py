@@ -225,9 +225,6 @@ def _telemetry(
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     H = load(args.instance)
-    # Validate the spec (so 'auto' and bad values behave uniformly across
-    # subcommands), but a single solve has no grid to fan out: in-process.
-    resolve_workers(args.workers)
     fn = ALGORITHMS[args.algorithm]
     # Telemetry implies a cost accountant: spans record depth/work deltas.
     machine = CountingMachine() if (args.costs or args.telemetry) else None
@@ -720,13 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="sbl")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--costs", action="store_true", help="account EREW-PRAM depth/work")
-    s.add_argument(
-        "--workers",
-        default="0",
-        help="accepted for interface symmetry with campaign/experiment "
-        "('auto' resolves against BENCH_m02.json); a single solve always "
-        "runs in-process",
-    )
     s.add_argument("--pretty", action="store_true", help="indent the JSON output")
     s.add_argument("--save-trace", default="", help="write the full round trace to this path")
     s.add_argument(

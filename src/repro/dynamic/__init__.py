@@ -11,8 +11,9 @@ paying for a full re-solve when the change is small:
   and certify against the updated hypergraph.
 * :mod:`repro.dynamic.costmodel` — the repair-vs-recompute dispatcher:
   a measured per-shape-bucket crossover delta-fraction
-  (``DYNAMIC_CALIBRATION.json``, machine-gated) with a static threshold
-  fallback, mirroring :mod:`repro.kernels.costmodel`.
+  (``DYNAMIC_CALIBRATION.json``, read under the machine rule of
+  :func:`repro.util.hostid.usable_stamped`) with a static threshold
+  fallback.
 
 The batch-update primitive itself —
 :func:`repro.hypergraph.updates.apply_updates` with its exact structural
@@ -24,14 +25,11 @@ from repro.dynamic.costmodel import (
     DEFAULT_CALIBRATION_PATH,
     ENV_CALIBRATION,
     STATIC_CROSSOVER_FRACTION,
-    CrossoverCalibration,
-    DynamicCalibrationError,
     StrategyDecision,
     calibration_path,
     decide_strategy,
     delta_band,
-    invalidate_calibration_cache,
-    load_calibration,
+    parse_crossovers,
     usable_calibration,
 )
 from repro.dynamic.engine import DynamicMIS, UpdateOutcome
@@ -42,12 +40,9 @@ __all__ = [
     "StrategyDecision",
     "decide_strategy",
     "delta_band",
-    "CrossoverCalibration",
-    "DynamicCalibrationError",
-    "load_calibration",
+    "parse_crossovers",
     "usable_calibration",
     "calibration_path",
-    "invalidate_calibration_cache",
     "DEFAULT_CALIBRATION_PATH",
     "ENV_CALIBRATION",
     "STATIC_CROSSOVER_FRACTION",

@@ -4,16 +4,16 @@ Small update batches should be repaired in place (cost scales with the
 affected region); large ones should recompute from scratch (repair's
 localization overhead — one component labeling plus the splice — stops
 paying for itself).  Where the crossover sits depends on the machine and
-on the instance shape, so this module mirrors the kernel dispatcher's
-:mod:`repro.kernels.costmodel` discipline exactly: a calibration file
-(``DYNAMIC_CALIBRATION.json`` at the repo root, schema-validated, stamped
-with :func:`repro.util.hostid.machine_identity` and **ignored** on
-machine mismatch) maps each *shape bucket* — the same dimension × universe
+on the instance shape, so a calibration file (``DYNAMIC_CALIBRATION.json``
+at the repo root) maps each *shape bucket* — the same dimension × universe
 vocabulary as kernel dispatch, see
 :func:`repro.kernels.costmodel.shape_bucket` — to a measured crossover
-delta-fraction.  Without a usable calibration the dispatcher falls back
-to a static threshold; a bad calibration can never break an update, only
-mis-route it.
+delta-fraction.  It is read through
+:func:`repro.util.hostid.usable_stamped`, the same machine rule as the
+kernel calibration: schema-checked, **ignored** when stamped on another
+machine, counted on ``dynamic/calibration/*`` and memoised.  Without a
+usable calibration the dispatcher falls back to a static threshold; a bad
+calibration can never break an update, only mis-route it.
 
 ``scripts/dynamic_calibrate.py`` produces the calibration by racing
 repair against recompute at increasing delta fractions per bucket.
@@ -22,27 +22,28 @@ Override the file location with ``REPRO_DYNAMIC_CALIBRATION``.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 from repro.kernels.costmodel import shape_bucket
-from repro.util.hostid import machine_identity
+from repro.util.hostid import (
+    Calibration,
+    CalibrationError,
+    number,
+    table,
+    usable_stamped,
+)
 
 __all__ = [
     "DEFAULT_CALIBRATION_PATH",
     "ENV_CALIBRATION",
     "STATIC_CROSSOVER_FRACTION",
-    "CrossoverCalibration",
-    "DynamicCalibrationError",
     "StrategyDecision",
     "calibration_path",
     "decide_strategy",
     "delta_band",
-    "invalidate_calibration_cache",
-    "load_calibration",
+    "parse_crossovers",
     "usable_calibration",
 ]
 
@@ -66,24 +67,6 @@ _DELTA_BANDS: tuple[tuple[float, str], ...] = (
     (0.20, "lt20pct"),
 )
 _DELTA_TOP = "ge20pct"
-
-
-class DynamicCalibrationError(ValueError):
-    """A dynamic calibration file exists but does not match the schema."""
-
-
-@dataclass(frozen=True)
-class CrossoverCalibration:
-    """A loaded, schema-validated crossover calibration."""
-
-    path: Path
-    buckets: Mapping[str, float]  # shape bucket -> crossover delta-fraction
-    provenance: Mapping[str, object]
-    raw: Mapping[str, object]
-
-    @property
-    def machine_id(self) -> str:
-        return str(self.provenance["machine_id"])
 
 
 @dataclass(frozen=True)
@@ -112,94 +95,30 @@ def calibration_path() -> Path:
     return Path(override) if override else DEFAULT_CALIBRATION_PATH
 
 
-def load_calibration(path: Path) -> CrossoverCalibration:
-    """Load and schema-validate one crossover calibration file.
-
-    Raises ``FileNotFoundError`` if absent and
-    :class:`DynamicCalibrationError` on any shape violation, including a
-    missing ``provenance.machine_id`` — an unattributed measurement must
-    never steer dispatch.
-    """
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DynamicCalibrationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DynamicCalibrationError(f"{path}: top level must be an object")
-    if doc.get("schema") != 1:
-        raise DynamicCalibrationError(
-            f"{path}: unsupported schema {doc.get('schema')!r} (expected 1)"
-        )
-    provenance = doc.get("provenance")
-    if not isinstance(provenance, dict) or not isinstance(
-        provenance.get("machine_id"), str
-    ):
-        raise DynamicCalibrationError(
-            f"{path}: provenance.machine_id (a string) is required"
-        )
-    buckets_doc = doc.get("buckets")
-    if not isinstance(buckets_doc, dict) or not buckets_doc:
-        raise DynamicCalibrationError(f"{path}: buckets must be a non-empty object")
+def parse_crossovers(doc: dict) -> dict[str, float]:
+    """The ``buckets`` table: shape bucket -> crossover delta-fraction."""
     buckets: dict[str, float] = {}
-    for bucket, entry in buckets_doc.items():
+    for bucket, entry in table(doc, "buckets").items():
         if not isinstance(entry, dict) or "crossover_fraction" not in entry:
-            raise DynamicCalibrationError(
-                f"{path}: buckets[{bucket!r}] must be an object with crossover_fraction"
+            raise CalibrationError(
+                f"buckets[{bucket!r}] must be an object with crossover_fraction"
             )
-        value = entry["crossover_fraction"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DynamicCalibrationError(
-                f"{path}: buckets[{bucket!r}].crossover_fraction must be a number"
-            )
-        fraction = float(value)
-        if not 0.0 <= fraction <= 1.0:
-            raise DynamicCalibrationError(
-                f"{path}: buckets[{bucket!r}].crossover_fraction must be in [0, 1]"
-            )
-        buckets[str(bucket)] = fraction
-    return CrossoverCalibration(path=path, buckets=buckets, provenance=provenance, raw=doc)
+        buckets[str(bucket)] = number(
+            entry["crossover_fraction"], f"buckets[{bucket!r}].crossover_fraction", hi=1.0
+        )
+    return buckets
 
 
 def usable_calibration(
     path: Path | None = None, *, machine_id: str | None = None
-) -> CrossoverCalibration | None:
-    """The calibration dispatch may act on, or ``None`` with the reason counted."""
-    from repro.obs import metrics as obs_metrics
-
-    p = path if path is not None else calibration_path()
-    try:
-        cal = load_calibration(p)
-    except FileNotFoundError:
-        obs_metrics.inc("dynamic/calibration/missing")
-        return None
-    except DynamicCalibrationError:
-        obs_metrics.inc("dynamic/calibration/invalid")
-        return None
-    current = machine_id if machine_id is not None else machine_identity()
-    if cal.machine_id != current:
-        obs_metrics.inc("dynamic/calibration/machine-mismatch")
-        return None
-    obs_metrics.inc("dynamic/calibration/loaded")
-    return cal
-
-
-#: Per-path memo of usable_calibration so sustained churn does not re-read
-#: the file on every update (same discipline as kernel dispatch's cache).
-_CAL_CACHE: dict[Path, CrossoverCalibration | None] = {}
-
-
-def invalidate_calibration_cache() -> None:
-    """Drop the memoised calibration (tests and calibration writers)."""
-    _CAL_CACHE.clear()
-
-
-def _cached_calibration() -> CrossoverCalibration | None:
-    path = calibration_path().resolve()
-    if path not in _CAL_CACHE:
-        if len(_CAL_CACHE) > 8:
-            _CAL_CACHE.clear()
-        _CAL_CACHE[path] = usable_calibration(path)
-    return _CAL_CACHE[path]
+) -> Calibration | None:
+    """The calibration routing may act on (see :func:`usable_stamped`)."""
+    return usable_stamped(
+        "dynamic",
+        path if path is not None else calibration_path(),
+        parse_crossovers,
+        machine_id=machine_id,
+    )
 
 
 def decide_strategy(
@@ -214,9 +133,9 @@ def decide_strategy(
     """
     bucket = shape_bucket(dimension, universe)
     band = delta_band(delta_fraction)
-    cal = _cached_calibration()
-    if cal is not None and bucket in cal.buckets:
-        threshold = cal.buckets[bucket]
+    cal = usable_calibration()
+    if cal is not None and bucket in cal.table:
+        threshold = cal.table[bucket]
         mode = "cost-model"
     else:
         threshold = STATIC_CROSSOVER_FRACTION

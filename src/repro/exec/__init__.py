@@ -19,7 +19,6 @@ them as context managers or call ``close()``.
 """
 
 from repro.exec.aio import AsyncBatchExecutor, CellOutcome
-from repro.exec.benchfile import BenchBaseline, BenchSchemaError, load_baseline
 from repro.exec.pool import WorkerPool, default_mp_context
 from repro.exec.runner import Cell, CellResult, ParallelRunner, current_runner, use_runner
 from repro.exec.shm import InstanceHandle, ShmArena, attach, detach_all
@@ -28,8 +27,6 @@ from repro.exec.workers import AUTO_SPEEDUP_FLOOR, resolve_workers
 __all__ = [
     "AUTO_SPEEDUP_FLOOR",
     "AsyncBatchExecutor",
-    "BenchBaseline",
-    "BenchSchemaError",
     "Cell",
     "CellOutcome",
     "CellResult",
@@ -41,7 +38,6 @@ __all__ = [
     "current_runner",
     "default_mp_context",
     "detach_all",
-    "load_baseline",
     "resolve_workers",
     "use_runner",
 ]

@@ -1,7 +1,7 @@
 """Worker-count resolution: ``--workers auto`` with a measured floor.
 
-Every parallel entry point (``campaign``, ``experiment``, ``fuzz run``)
-accepts ``--workers auto``.  Auto does not blindly return
+Every parallel entry point (``campaign``, ``experiment``, ``fuzz run``,
+``serve``) accepts ``--workers auto``.  Auto does not blindly return
 ``os.cpu_count()``: process fan-out has real dispatch overhead (pickling,
 pool startup, telemetry splicing), and on small boxes that overhead can
 eat the whole win.  The repo *measures* that overhead — the
@@ -11,26 +11,24 @@ measurement as a floor: if the best recorded speedup never cleared
 :data:`AUTO_SPEEDUP_FLOOR`, fanning out is a measured loss and auto
 resolves to in-process execution instead.
 
-A missing or unreadable benchmark file falls back to plain
-``os.cpu_count()`` (optimistic: no evidence against parallelism) — but a
-file that *parses* and fails the schema check is counted on the
-``exec/bench_m02_schema_error`` metric, so a baseline refresh that breaks
-the contract is visible instead of silently optimistic.  The file goes
-through :func:`repro.exec.benchfile.load_baseline`, the same
-schema-checked loader the solve service uses.
+The file is read through :func:`repro.util.hostid.usable_stamped`, the
+rule the kernel and stream calibrations follow too: a speedup measured on
+another machine says nothing about this one and is ignored; so is a
+missing or invalid file.  Every outcome is counted on
+``exec/calibration/*``, and an ignored file leaves ``auto`` at plain
+``os.cpu_count()`` (optimistic: no evidence against parallelism).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Union
 
-from repro.exec.benchfile import BenchSchemaError, load_baseline
 from repro.obs import metrics as obs_metrics
+from repro.util.hostid import number, table, usable_stamped
 
-__all__ = ["AUTO_SPEEDUP_FLOOR", "bench_m02_path", "resolve_workers"]
+__all__ = ["AUTO_SPEEDUP_FLOOR", "bench_m02_path", "parse_speedups", "resolve_workers"]
 
 #: Minimum measured campaign speedup (vs serial) for ``auto`` to fan out.
 #: Below this, measured dispatch overhead cancels the parallel win and
@@ -45,28 +43,26 @@ def bench_m02_path() -> Path:
     return Path(__file__).resolve().parents[3] / "BENCH_m02.json"
 
 
-def _best_measured_speedup(path: Path) -> float | None:
-    """Best ``speedup_vs_serial`` recorded in BENCH_m02.json, or ``None``.
+def parse_speedups(doc: dict) -> dict[str, float]:
+    """The ``speedup_vs_serial`` table of a ``BENCH_m02.json`` baseline.
 
-    ``None`` means "no usable measurement" — callers treat that as
-    optimistic.  A file that exists but fails the schema check bumps
-    ``exec/bench_m02_schema_error`` before falling back, so a bad baseline
-    refresh never silently changes ``auto`` behaviour again.
+    ``medians_ns`` is checked too, so a baseline refresh that changes the
+    document shape is counted as invalid rather than read half-right.
     """
-    try:
-        baseline = load_baseline(path, require_speedups=True)
-    except (OSError, json.JSONDecodeError):
-        return None
-    except BenchSchemaError:
-        obs_metrics.inc("exec/bench_m02_schema_error")
-        return None
-    return baseline.best_speedup()
+    _numbers(doc, "medians_ns")
+    return _numbers(doc, "speedup_vs_serial")
+
+
+def _numbers(doc: dict, key: str) -> dict[str, float]:
+    return {str(name): number(v, f"{key}[{name!r}]") for name, v in table(doc, key).items()}
 
 
 def _auto_workers(bench_path: Path | None) -> int | None:
     cpus = os.cpu_count() or 1
-    best = _best_measured_speedup(bench_path or bench_m02_path())
-    if best is not None and best < AUTO_SPEEDUP_FLOOR:
+    cal = usable_stamped(
+        "exec", bench_path or bench_m02_path(), parse_speedups, schema=None
+    )
+    if cal is not None and max(cal.table.values()) < AUTO_SPEEDUP_FLOOR:
         obs_metrics.inc("exec/workers_auto/floored")
         return None
     obs_metrics.inc("exec/workers_auto/cpu_count")
@@ -81,9 +77,9 @@ def resolve_workers(
     ``None``, ``0``, ``""`` and ``"0"`` mean in-process (returns
     ``None``); a positive int (or int string) is used as-is; ``"auto"``
     derives the count from ``os.cpu_count()``, floored to in-process when
-    the measured dispatch overhead in ``BENCH_m02.json`` shows fan-out
-    does not pay (see :data:`AUTO_SPEEDUP_FLOOR`).  *bench_path* overrides
-    the benchmark location (tests).
+    this machine's measured dispatch overhead in ``BENCH_m02.json`` shows
+    fan-out does not pay (see :data:`AUTO_SPEEDUP_FLOOR`).  *bench_path*
+    overrides the benchmark location (tests).
     """
     if spec is None:
         return None

@@ -5,19 +5,16 @@ machine's crossover points.  This module replaces them — when a
 calibration exists — with measured ones: ``scripts/kernel_calibrate.py``
 times the CSR and bitset engines on one representative instance per
 *shape bucket* (dimension band × universe band) and persists the medians
-to ``KERNEL_CALIBRATION.json`` at the repo root (same benchfile-style
-schema discipline as the ``BENCH_*.json`` baselines, see
-:mod:`repro.exec.benchfile`).  ``select_backend`` then picks whichever
-backend measured faster for the instance's bucket, and falls back to the
-static thresholds for buckets the probe did not cover.
+to ``KERNEL_CALIBRATION.json`` at the repo root.  ``select_backend`` then
+picks whichever backend measured faster for the instance's bucket, and
+falls back to the static thresholds for buckets the probe did not cover.
 
-Wall-clock medians are only meaningful on the machine that produced them,
-so every calibration must carry
-:func:`repro.util.hostid.machine_identity` in its provenance and is
-**ignored** on mismatch — the same rule ``scripts/bench_gate.py`` already
-enforces for the bench baselines.  A missing, invalid or cross-machine
-calibration file silently (but countedly) reverts dispatch to the static
-thresholds; it can never break a solve.
+The file is read through :func:`repro.util.hostid.usable_stamped`, the
+rule every machine-stamped file follows: schema-checked, **ignored** when
+its ``provenance.machine_id`` is another machine's, counted on
+``kernels/calibration/*`` and memoised.  A missing, invalid or
+cross-machine calibration reverts dispatch to the static thresholds; it
+can never break a solve.
 
 Override the calibration location with ``REPRO_KERNEL_CALIBRATION`` (CI
 points it at a committed fixture to pin the honoring behaviour).
@@ -25,24 +22,26 @@ points it at a committed fixture to pin the honoring behaviour).
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
-from repro.util.hostid import machine_identity
+from repro.util.hostid import (
+    Calibration,
+    CalibrationError,
+    number,
+    table,
+    usable_stamped,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dispatch imports us)
     from repro.kernels.dispatch import ShapeFeatures
 
 __all__ = [
-    "CalibrationSchemaError",
-    "CostCalibration",
     "DEFAULT_CALIBRATION_PATH",
     "ENV_CALIBRATION",
     "calibration_path",
-    "load_calibration",
+    "parse_buckets",
     "usable_calibration",
     "shape_bucket",
     "preferred_backend",
@@ -67,24 +66,6 @@ _UNIVERSE_TOP = "u8kplus"
 #: The two backends the probe races; the cost model never proposes jit
 #: (an explicit ``REPRO_KERNEL=jit`` request is the only way in).
 _BACKENDS = ("csr", "bitset")
-
-
-class CalibrationSchemaError(ValueError):
-    """A calibration file exists but does not match the expected schema."""
-
-
-@dataclass(frozen=True)
-class CostCalibration:
-    """A loaded, schema-validated calibration file."""
-
-    path: Path
-    buckets: Mapping[str, Mapping[str, float]]  # bucket -> backend -> median ns
-    provenance: Mapping[str, object]
-    raw: Mapping[str, object]
-
-    @property
-    def machine_id(self) -> str:
-        return str(self.provenance["machine_id"])
 
 
 def shape_bucket(dimension: int, universe: int) -> str:
@@ -114,100 +95,45 @@ def calibration_path() -> Path:
     return Path(override) if override else DEFAULT_CALIBRATION_PATH
 
 
-def _numeric(value: object, *, path: Path, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CalibrationSchemaError(f"{path}: {where} must be a number, got {value!r}")
-    out = float(value)
-    if out < 0:
-        raise CalibrationSchemaError(f"{path}: {where} must be non-negative, got {out}")
-    return out
-
-
-def load_calibration(path: Path) -> CostCalibration:
-    """Load and schema-validate one calibration file.
-
-    Raises ``FileNotFoundError`` if absent and
-    :class:`CalibrationSchemaError` on any shape violation — including a
-    missing ``provenance.machine_id``, which is mandatory: a calibration
-    that cannot prove where it was measured must never steer dispatch.
-    """
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CalibrationSchemaError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CalibrationSchemaError(f"{path}: top level must be an object")
-    if doc.get("schema") != 1:
-        raise CalibrationSchemaError(
-            f"{path}: unsupported schema {doc.get('schema')!r} (expected 1)"
-        )
-    provenance = doc.get("provenance")
-    if not isinstance(provenance, dict) or not isinstance(
-        provenance.get("machine_id"), str
-    ):
-        raise CalibrationSchemaError(
-            f"{path}: provenance.machine_id (a string) is required"
-        )
-    buckets_doc = doc.get("buckets")
-    if not isinstance(buckets_doc, dict) or not buckets_doc:
-        raise CalibrationSchemaError(f"{path}: buckets must be a non-empty object")
+def parse_buckets(doc: dict) -> dict[str, dict[str, float]]:
+    """The ``buckets`` table: shape bucket -> backend -> median ns."""
     buckets: dict[str, dict[str, float]] = {}
-    for bucket, entry in buckets_doc.items():
+    for bucket, entry in table(doc, "buckets").items():
         if not isinstance(entry, dict):
-            raise CalibrationSchemaError(
-                f"{path}: buckets[{bucket!r}] must be an object"
-            )
-        timings: dict[str, float] = {}
+            raise CalibrationError(f"buckets[{bucket!r}] must be an object")
         for backend in _BACKENDS:
             if backend not in entry:
-                raise CalibrationSchemaError(
-                    f"{path}: buckets[{bucket!r}] is missing {backend!r}"
-                )
-            timings[backend] = _numeric(
-                entry[backend], path=path, where=f"buckets[{bucket!r}][{backend!r}]"
-            )
-        buckets[str(bucket)] = timings
-    return CostCalibration(path=path, buckets=buckets, provenance=provenance, raw=doc)
+                raise CalibrationError(f"buckets[{bucket!r}] is missing {backend!r}")
+        buckets[str(bucket)] = {
+            backend: number(entry[backend], f"buckets[{bucket!r}][{backend!r}]")
+            for backend in _BACKENDS
+        }
+    return buckets
 
 
 def usable_calibration(
     path: Path | None = None, *, machine_id: str | None = None
-) -> CostCalibration | None:
-    """The calibration dispatch may act on, or ``None`` with the reason counted.
+) -> Calibration | None:
+    """The calibration dispatch may act on (see :func:`usable_stamped`).
 
-    ``None`` (static-threshold fallback) when the file is missing, fails
-    schema validation, or was measured on a different machine.  The
-    *machine_id* parameter exists for the cross-machine unit tests; real
-    callers use the ambient :func:`machine_identity`.
+    *machine_id* exists for the cross-machine unit tests; real callers use
+    the ambient :func:`repro.util.hostid.machine_identity`.
     """
-    from repro.obs import metrics as obs_metrics
-
-    p = path if path is not None else calibration_path()
-    try:
-        cal = load_calibration(p)
-    except FileNotFoundError:
-        obs_metrics.inc("kernels/calibration/missing")
-        return None
-    except CalibrationSchemaError:
-        obs_metrics.inc("kernels/calibration/invalid")
-        return None
-    current = machine_id if machine_id is not None else machine_identity()
-    if cal.machine_id != current:
-        obs_metrics.inc("kernels/calibration/machine-mismatch")
-        return None
-    obs_metrics.inc("kernels/calibration/loaded")
-    return cal
+    return usable_stamped(
+        "kernels",
+        path if path is not None else calibration_path(),
+        parse_buckets,
+        machine_id=machine_id,
+    )
 
 
-def preferred_backend(
-    cal: CostCalibration, features: "ShapeFeatures"
-) -> str | None:
+def preferred_backend(cal: Calibration, features: "ShapeFeatures") -> str | None:
     """The measured-faster backend for this shape, or ``None`` if uncovered.
 
     ``None`` means the calibration has no entry for the instance's bucket
     and dispatch should fall back to the static thresholds.
     """
-    entry = cal.buckets.get(shape_bucket(features.dimension, features.universe))
+    entry = cal.table.get(shape_bucket(features.dimension, features.universe))
     if entry is None:
         return None
     return "bitset" if entry["bitset"] <= entry["csr"] else "csr"

@@ -13,10 +13,11 @@ In ``auto`` mode the choice between CSR and the bitset engines is made by
 a **measured cost model** when a calibration file exists
 (:mod:`repro.kernels.costmodel`; produced by
 ``scripts/kernel_calibrate.py``, ignored unless its
-``provenance.machine_id`` matches this machine): the instance's shape
-bucket looks up which backend actually measured faster here.  Without a
-usable calibration — or for a bucket the probe did not cover — the static
-envelope below decides, exactly as before.
+``provenance.machine_id`` matches this machine, and memoised so a solve
+does not re-read it): the instance's shape bucket looks up which backend
+actually measured faster here.  Without a usable calibration — or for a
+bucket the probe did not cover — the static envelope below decides,
+exactly as before.
 
 The contract the dispatcher relies on — and the differential fuzz subjects
 enforce — is that **all backends are bit-identical per seed**, so this
@@ -43,13 +44,7 @@ from dataclasses import dataclass
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import current_kernel
 from repro.kernels.bl_dense import BLOCK_MAX_DIMENSION, BLOCK_MAX_UNIVERSE
-from repro.kernels.costmodel import (
-    CostCalibration,
-    calibration_path,
-    preferred_backend,
-    shape_bucket,
-    usable_calibration,
-)
+from repro.kernels.costmodel import preferred_backend, shape_bucket, usable_calibration
 from repro.kernels.jit import HAVE_NUMBA
 from repro.obs import metrics as obs_metrics
 
@@ -60,7 +55,6 @@ __all__ = [
     "KernelDecision",
     "dense_capable",
     "select_backend",
-    "invalidate_calibration_cache",
 ]
 
 #: The dense envelope: what *some* dense engine can represent.  The
@@ -121,27 +115,6 @@ def dense_capable(H: Hypergraph) -> bool:
     return H.dimension <= DENSE_MAX_DIMENSION and H.universe <= DENSE_MAX_UNIVERSE
 
 
-#: One-slot cache for the usable-calibration lookup, keyed by resolved
-#: path: dispatch runs on every solve and must not re-read/validate the
-#: JSON each time.  ``None`` is cached too (missing/invalid/mismatched).
-_CAL_CACHE: dict[str, CostCalibration | None] = {}
-
-
-def invalidate_calibration_cache() -> None:
-    """Drop the cached calibration (tests; after rewriting the file)."""
-    _CAL_CACHE.clear()
-
-
-def _active_calibration() -> CostCalibration | None:
-    path = calibration_path()
-    key = str(path)
-    if key not in _CAL_CACHE:
-        if len(_CAL_CACHE) > 8:  # env churn in long-lived test processes
-            _CAL_CACHE.clear()
-        _CAL_CACHE[key] = usable_calibration(path)
-    return _CAL_CACHE[key]
-
-
 def select_backend(
     H: Hypergraph,
     *,
@@ -186,7 +159,7 @@ def select_backend(
     elif req == "bitset":
         decision = KernelDecision("bitset", "forced:bitset")
     else:
-        cal = _active_calibration()
+        cal = usable_calibration()
         pick = preferred_backend(cal, ShapeFeatures.of(H)) if cal is not None else None
         if pick is not None:
             mode = "cost-model"

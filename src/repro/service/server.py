@@ -54,10 +54,9 @@ from repro.core import (
     sbl,
 )
 from repro.exec.aio import AsyncBatchExecutor
-from repro.exec.benchfile import BenchSchemaError, load_baseline
 from repro.exec.runner import Cell
 from repro.exec.shm import ShmArena
-from repro.exec.workers import bench_m02_path
+from repro.exec.workers import bench_m02_path, parse_speedups
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import current_tracer
@@ -72,6 +71,7 @@ from repro.service.protocol import (
     ok_response,
     parse_solve_request,
 )
+from repro.util.hostid import CalibrationError, load_stamped
 
 __all__ = ["ServerConfig", "ServerThread", "SolveServer", "default_algorithms"]
 
@@ -530,14 +530,13 @@ class SolveServer:
 
     def stats(self) -> dict[str, Any]:
         """The ``stats`` op payload: counters, occupancy, dispatch context."""
-        m02: dict[str, Any] = {}
         try:
-            baseline = load_baseline(bench_m02_path(), require_speedups=True)
-            m02 = {
-                "best_speedup_vs_serial": baseline.best_speedup(),
+            baseline = load_stamped(bench_m02_path(), parse_speedups, schema=None)
+            m02: dict[str, Any] = {
+                "best_speedup_vs_serial": max(baseline.table.values()),
                 "machine_id": baseline.machine_id,
             }
-        except (OSError, json.JSONDecodeError, BenchSchemaError) as exc:
+        except (OSError, CalibrationError) as exc:
             m02 = {"error": f"{type(exc).__name__}: {exc}"}
         return {
             "uptime_s": round(time.monotonic() - self._t_start, 3),

@@ -8,6 +8,7 @@ import pytest
 
 from repro.dynamic import costmodel as cm
 from repro.kernels.costmodel import shape_bucket
+from repro.util import hostid
 from repro.util.hostid import machine_identity
 
 
@@ -15,9 +16,13 @@ from repro.util.hostid import machine_identity
 def _isolated_calibration(tmp_path, monkeypatch):
     """Point dispatch at a nonexistent file so the repo root never leaks in."""
     monkeypatch.setenv(cm.ENV_CALIBRATION, str(tmp_path / "absent.json"))
-    cm.invalidate_calibration_cache()
+    hostid.invalidate()
     yield
-    cm.invalidate_calibration_cache()
+    hostid.invalidate()
+
+
+def _load(path):
+    return hostid.load_stamped(path, cm.parse_crossovers)
 
 
 def _write(path, doc):
@@ -57,14 +62,14 @@ def test_static_fallback_routes_on_threshold():
 
 def test_load_calibration_valid(tmp_path):
     path = _write(tmp_path / "cal.json", _valid_doc())
-    cal = cm.load_calibration(path)
-    assert cal.buckets["d3-u1k"] == 0.05
+    cal = _load(path)
+    assert cal.table["d3-u1k"] == 0.05
     assert cal.machine_id == machine_identity()
 
 
 def test_load_calibration_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
-        cm.load_calibration(tmp_path / "nope.json")
+        _load(tmp_path / "nope.json")
 
 
 @pytest.mark.parametrize(
@@ -94,15 +99,15 @@ def test_load_calibration_schema_violations(tmp_path, mangle):
     doc = _valid_doc()
     mangle(doc)
     path = _write(tmp_path / "bad.json", doc)
-    with pytest.raises(cm.DynamicCalibrationError):
-        cm.load_calibration(path)
+    with pytest.raises(hostid.CalibrationError):
+        _load(path)
 
 
 def test_load_calibration_not_json(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
-    with pytest.raises(cm.DynamicCalibrationError):
-        cm.load_calibration(path)
+    with pytest.raises(hostid.CalibrationError):
+        _load(path)
 
 
 def test_usable_calibration_machine_gate(tmp_path):
@@ -124,7 +129,7 @@ def test_env_override_steers_dispatch(tmp_path, monkeypatch):
     bucket = shape_bucket(3, 900)
     path = _write(tmp_path / "cal.json", _valid_doc(bucket=bucket, fraction=0.02))
     monkeypatch.setenv(cm.ENV_CALIBRATION, str(path))
-    cm.invalidate_calibration_cache()
+    hostid.invalidate()
     d = cm.decide_strategy(0.03, 3, 900)
     assert d.mode == "cost-model"
     assert d.threshold == 0.02
@@ -136,7 +141,7 @@ def test_env_override_steers_dispatch(tmp_path, monkeypatch):
 def test_uncovered_bucket_falls_back_to_static(tmp_path, monkeypatch):
     path = _write(tmp_path / "cal.json", _valid_doc(bucket="d2-u1k", fraction=0.02))
     monkeypatch.setenv(cm.ENV_CALIBRATION, str(path))
-    cm.invalidate_calibration_cache()
+    hostid.invalidate()
     d = cm.decide_strategy(0.1, 4, 900)  # bucket d4plus-u1k not covered
     assert d.mode == "static"
     assert d.threshold == cm.STATIC_CROSSOVER_FRACTION
@@ -146,10 +151,10 @@ def test_cache_invalidation_picks_up_rewrite(tmp_path, monkeypatch):
     bucket = shape_bucket(3, 900)
     path = _write(tmp_path / "cal.json", _valid_doc(bucket=bucket, fraction=0.02))
     monkeypatch.setenv(cm.ENV_CALIBRATION, str(path))
-    cm.invalidate_calibration_cache()
+    hostid.invalidate()
     assert cm.decide_strategy(0.03, 3, 900).threshold == 0.02
     _write(path, _valid_doc(bucket=bucket, fraction=0.4))
     # Memoised: the old threshold sticks until the cache is dropped.
     assert cm.decide_strategy(0.03, 3, 900).threshold == 0.02
-    cm.invalidate_calibration_cache()
+    hostid.invalidate()
     assert cm.decide_strategy(0.03, 3, 900).threshold == 0.4

@@ -8,16 +8,27 @@ import pytest
 
 import repro.exec.workers as workers_mod
 from repro.exec.workers import AUTO_SPEEDUP_FLOOR, bench_m02_path, resolve_workers
+from repro.obs import metrics
+from repro.util.hostid import load_stamped, machine_identity
 
 
-def _bench(tmp_path, speedups):
+def _bench(tmp_path, speedups, machine_id=None):
     # A schema-valid baseline: the shared loader requires medians_ns; the
-    # speedup table is what the auto floor actually reads.
+    # speedup table is what the auto floor actually reads.  Stamped with
+    # this machine's id unless told otherwise; machine_identity() includes
+    # os.cpu_count(), so call this after monkeypatching it.
     path = tmp_path / "BENCH_m02.json"
     medians = {"campaign_serial": 1_000_000}
     medians.update({name: 500_000 for name in speedups})
+    provenance = {"machine_id": machine_id or machine_identity()}
     path.write_text(
-        json.dumps({"medians_ns": medians, "speedup_vs_serial": speedups})
+        json.dumps(
+            {
+                "medians_ns": medians,
+                "speedup_vs_serial": speedups,
+                "provenance": provenance,
+            }
+        )
     )
     return path
 
@@ -83,6 +94,25 @@ class TestAutoFloor:
         assert resolve_workers("auto", bench_path=bench) is None
 
 
+class TestMachineRule:
+    """``auto`` follows the kernel and stream calibrations' machine rule."""
+
+    @pytest.mark.parametrize(
+        "machine_id,want,outcome",
+        [("linux-arm64-other-1c", 6, "machine-mismatch"), (None, None, "loaded")],
+        ids=["foreign-ignored", "local-floors"],
+    )
+    def test_low_speedup_counts_only_from_this_machine(
+        self, tmp_path, monkeypatch, machine_id, want, outcome
+    ):
+        monkeypatch.setattr(workers_mod.os, "cpu_count", lambda: 6)
+        bench = _bench(tmp_path, {"workers2": 0.6}, machine_id=machine_id)
+        with metrics.isolated_registry() as registry:
+            assert resolve_workers("auto", bench_path=bench) == want
+            counters = registry.snapshot()["counters"]
+        assert counters[f"exec/calibration/{outcome}"] == 1
+
+
 class TestCommittedBench:
     def test_committed_file_is_readable(self):
         # The committed BENCH_m02.json must parse; 'auto' must resolve
@@ -90,3 +120,12 @@ class TestCommittedBench:
         assert bench_m02_path().exists()
         resolved = resolve_workers("auto")
         assert resolved is None or resolved >= 1
+
+    def test_foreign_committed_file_does_not_floor(self):
+        committed = load_stamped(
+            bench_m02_path(), workers_mod.parse_speedups, schema=None
+        )
+        if committed.machine_id == machine_identity():
+            pytest.skip("BENCH_m02.json was recorded on this machine")
+        cpus = workers_mod.os.cpu_count() or 1
+        assert resolve_workers("auto") == (cpus if cpus > 1 else None)

@@ -7,15 +7,18 @@ import json
 import pytest
 
 from repro.kernels.costmodel import (
-    CalibrationSchemaError,
-    load_calibration,
+    parse_buckets,
     preferred_backend,
     shape_bucket,
     usable_calibration,
 )
 from repro.kernels.dispatch import ShapeFeatures
 from repro.obs.metrics import isolated_registry
-from repro.util.hostid import machine_identity
+from repro.util.hostid import CalibrationError, load_stamped, machine_identity
+
+
+def load_calibration(path):
+    return load_stamped(path, parse_buckets)
 
 
 def _doc(buckets=None, machine_id=None, **over):
@@ -71,7 +74,7 @@ class TestLoadCalibration:
         path = _write(tmp_path, _doc())
         cal = load_calibration(path)
         assert cal.machine_id == machine_identity()
-        assert cal.buckets["d3-u1k"] == {"csr": 100.0, "bitset": 10.0}
+        assert cal.table["d3-u1k"] == {"csr": 100.0, "bitset": 10.0}
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -80,41 +83,41 @@ class TestLoadCalibration:
     def test_bad_json(self, tmp_path):
         path = tmp_path / "cal.json"
         path.write_text("{not json")
-        with pytest.raises(CalibrationSchemaError, match="not valid JSON"):
+        with pytest.raises(CalibrationError, match="not valid JSON"):
             load_calibration(path)
 
     def test_wrong_schema_version(self, tmp_path):
         path = _write(tmp_path, _doc(schema=2))
-        with pytest.raises(CalibrationSchemaError, match="unsupported schema"):
+        with pytest.raises(CalibrationError, match="unsupported schema"):
             load_calibration(path)
 
     def test_machine_id_is_mandatory(self, tmp_path):
         doc = _doc()
         del doc["provenance"]["machine_id"]
         path = _write(tmp_path, doc)
-        with pytest.raises(CalibrationSchemaError, match="machine_id"):
+        with pytest.raises(CalibrationError, match="machine_id"):
             load_calibration(path)
 
     def test_missing_backend_entry(self, tmp_path):
         path = _write(tmp_path, _doc(buckets={"d3-u1k": {"csr": 1.0}}))
-        with pytest.raises(CalibrationSchemaError, match="missing 'bitset'"):
+        with pytest.raises(CalibrationError, match="missing 'bitset'"):
             load_calibration(path)
 
     def test_non_numeric_timing(self, tmp_path):
         path = _write(
             tmp_path, _doc(buckets={"d3-u1k": {"csr": "fast", "bitset": 1.0}})
         )
-        with pytest.raises(CalibrationSchemaError, match="must be a number"):
+        with pytest.raises(CalibrationError, match="must be a number"):
             load_calibration(path)
 
     def test_negative_timing(self, tmp_path):
         path = _write(tmp_path, _doc(buckets={"d3-u1k": {"csr": -5, "bitset": 1.0}}))
-        with pytest.raises(CalibrationSchemaError, match="non-negative"):
+        with pytest.raises(CalibrationError, match="non-negative"):
             load_calibration(path)
 
     def test_empty_buckets(self, tmp_path):
         path = _write(tmp_path, _doc(buckets={}))
-        with pytest.raises(CalibrationSchemaError, match="non-empty"):
+        with pytest.raises(CalibrationError, match="non-empty"):
             load_calibration(path)
 
 

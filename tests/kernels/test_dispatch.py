@@ -15,12 +15,11 @@ from repro.kernels.dispatch import (
     DENSE_MAX_UNIVERSE,
     ShapeFeatures,
     dense_capable,
-    invalidate_calibration_cache,
     select_backend,
 )
 from repro.kernels.jit import HAVE_NUMBA
 from repro.obs.metrics import isolated_registry
-from repro.util.hostid import machine_identity
+from repro.util.hostid import invalidate, machine_identity
 
 DENSE_H = uniform_hypergraph(40, 80, 3, seed=0)
 SPARSE_H = Hypergraph(DENSE_MAX_UNIVERSE + 1, [(0, 1, 2)])
@@ -34,9 +33,9 @@ def _fresh_calibration_cache(monkeypatch, tmp_path):
     # Dispatch must not pick up a developer's local KERNEL_CALIBRATION.json:
     # point the env override at a path that does not exist.
     monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", str(tmp_path / "absent.json"))
-    invalidate_calibration_cache()
+    invalidate()
     yield
-    invalidate_calibration_cache()
+    invalidate()
 
 
 def _write_calibration(path, buckets, machine_id=None):
@@ -55,7 +54,7 @@ def _write_calibration(path, buckets, machine_id=None):
             }
         )
     )
-    invalidate_calibration_cache()
+    invalidate()
 
 
 class TestDenseCapable:
@@ -207,11 +206,12 @@ class TestCommittedFixture:
     """The fixture CI's kernel-calibrate step asserts against."""
 
     def test_is_well_formed_and_foreign(self):
-        from repro.kernels.costmodel import load_calibration
+        from repro.kernels.costmodel import parse_buckets
+        from repro.util.hostid import load_stamped
 
-        cal = load_calibration(FIXTURE)  # validates the schema
+        cal = load_stamped(FIXTURE, parse_buckets)  # validates the schema
         assert cal.machine_id != machine_identity()
-        assert "d3-u1k" in cal.buckets
+        assert "d3-u1k" in cal.table
 
     def test_restamped_fixture_steers_dispatch(self, monkeypatch, tmp_path):
         # Re-stamp with the local machine id: the d3-u1k bucket records
@@ -222,7 +222,7 @@ class TestCommittedFixture:
         path = tmp_path / "cal.json"
         path.write_text(json.dumps(doc))
         monkeypatch.setenv("REPRO_KERNEL_CALIBRATION", str(path))
-        invalidate_calibration_cache()
+        invalidate()
         d = select_backend(DENSE_H, requested="auto")
         assert (d.backend, d.reason) == ("csr", "cost-model:csr")
 
