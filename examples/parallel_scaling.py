@@ -1,15 +1,15 @@
 #!/usr/bin/env python
-"""PRAM scaling study: depth, work, Brent-simulated time, real process pools.
+"""PRAM scaling study: depth, work and Brent-simulated time.
 
-Three views of "parallel" for the same algorithms:
+Two views of "parallel" for the same algorithms:
 
 1. **EREW-PRAM accounting** — the model the paper's theorems live in:
    depth (parallel time with unlimited processors) and total work.
 2. **Brent's theorem** — simulated wall-clock on P processors:
    ``T_P = work/P + depth``.
-3. **Actual process-pool execution** — the marking step fanned out over
-   worker processes (CPython's honest parallelism; see DESIGN.md §2 on the
-   GIL substitution).
+
+Real parallel execution runs whole solves side by side, not the steps of
+one round: see ``repro campaign --workers`` and docs/parallel.md.
 
 Run with::
 
@@ -18,12 +18,8 @@ Run with::
 
 from __future__ import annotations
 
-import time
-
 from repro import (
     CountingMachine,
-    ProcessBackend,
-    SerialBackend,
     beame_luby,
     karp_upfal_wigderson,
     permutation_bl,
@@ -57,39 +53,8 @@ def pram_view() -> None:
     ))
 
 
-def process_pool_view() -> None:
-    """Wall-clock of the marking hot path, serial vs process pool.
-
-    The per-round work at laptop sizes is far too small to amortise
-    process-pool overheads — this demo makes the crossover visible instead
-    of pretending a speedup.
-    """
-    n = 2_000_000
-    p = 0.01
-    rows = []
-    serial = SerialBackend(chunk_size=1 << 18)
-    t0 = time.perf_counter()
-    serial.bernoulli(0, n, p)
-    t_serial = time.perf_counter() - t0
-    rows.append(["serial", f"{t_serial * 1e3:.1f} ms"])
-    for workers in (2, 4):
-        with ProcessBackend(workers=workers, chunk_size=1 << 18) as pool:
-            pool.bernoulli(0, 1 << 18, p)  # warm the pool
-            t0 = time.perf_counter()
-            pool.bernoulli(0, n, p)
-            t_pool = time.perf_counter() - t0
-        rows.append([f"{workers} workers", f"{t_pool * 1e3:.1f} ms"])
-    print()
-    print(render_table(
-        ["backend", f"bernoulli({n:,} draws)"], rows,
-        title="real execution of the marking step",
-    ))
-    print("(results are bit-identical across backends for equal chunk sizes)")
-
-
 def main() -> None:
     pram_view()
-    process_pool_view()
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ Package map
   ops, Kelsen degree structures, validators, IO).
 * :mod:`repro.core` — the algorithms: SBL, BL, KUW, greedy,
   permutation-BL, Luby, linear-hypergraph MIS.
-* :mod:`repro.pram` — EREW PRAM cost model and execution backends.
+* :mod:`repro.pram` — the EREW PRAM cost model.
 * :mod:`repro.generators` — random / structured / linear instance
   generators.
 * :mod:`repro.theory` — the paper's closed-form parameters, recurrences,
@@ -49,7 +49,7 @@ from repro.hypergraph import (
     is_independent,
     is_maximal_independent,
 )
-from repro.pram import CountingMachine, NullMachine, ProcessBackend, SerialBackend
+from repro.pram import CountingMachine, NullMachine
 
 __version__ = "1.0.0"
 
@@ -71,7 +71,5 @@ __all__ = [
     "is_maximal_independent",
     "CountingMachine",
     "NullMachine",
-    "SerialBackend",
-    "ProcessBackend",
     "__version__",
 ]

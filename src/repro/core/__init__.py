@@ -20,7 +20,7 @@ The paper's contribution and its surrounding cast:
   hypergraph specialisation (Luczak–Szymanska's RNC class).
 
 All algorithms return :class:`~repro.core.result.MISResult` and accept the
-same ``(seed, machine, backend, trace)`` plumbing.
+same ``(seed, machine, trace)`` plumbing.
 """
 
 from repro.core.bl import apply_bl_round, beame_luby, bl_marking_probability

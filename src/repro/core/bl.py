@@ -39,10 +39,9 @@ from repro.kernels.dispatch import select_backend
 from repro.kernels.jit import row_kernels
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
-from repro.pram.backend import ExecutionBackend, SerialBackend
 from repro.pram.machine import Machine, NullMachine
 from repro.util.itlog import log2_ceil
-from repro.util.rng import SeedLike, stream
+from repro.util.rng import SeedLike, bernoulli_coins, stream
 
 __all__ = ["beame_luby", "bl_marking_probability", "apply_bl_round", "RoundCallback"]
 
@@ -72,7 +71,6 @@ def bl_marking_probability(H: Hypergraph, profile=None) -> float:
 def apply_bl_round(
     W: Hypergraph,
     marked_mask: np.ndarray,
-    backend: ExecutionBackend | None = None,
     *,
     assume_normal: bool = False,
     collect_diff: bool = False,
@@ -90,8 +88,6 @@ def apply_bl_round(
     marked_mask:
         Boolean mask over the universe; marks outside the active vertex set
         are ignored.
-    backend:
-        Bulk-step executor for the per-edge counts.
     assume_normal:
         *W* is known superset-free with no singleton edges (true for every
         hypergraph a previous round produced); enables the fused
@@ -111,13 +107,13 @@ def apply_bl_round(
         ``collect_diff=True`` a fifth element ``(removed_edges, added_edges)``
         is appended.
     """
-    be = backend if backend is not None else SerialBackend()
     if marked_mask.shape != (W.universe,):
         raise ValueError("marked_mask must cover the universe")
     marked = marked_mask & W.vertex_mask()
     unmark_mask = np.zeros(W.universe, dtype=bool)
     if W.num_edges:
-        counts = be.edge_mark_counts(W.incidence(), marked)
+        obs_metrics.inc("backend/matvec_calls")
+        counts = W.incidence() @ marked.astype(np.int64)
         fully = counts == W.edge_sizes()
         if fully.any():
             # One scatter over the concatenated indices of fully-marked edges.
@@ -194,7 +190,6 @@ def beame_luby(
     seed: SeedLike = None,
     *,
     machine: Machine | None = None,
-    backend: ExecutionBackend | None = None,
     recompute_probability: bool = True,
     marking_probability: float | None = None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
@@ -213,8 +208,6 @@ def beame_luby(
         run is reproducible regardless of round count.
     machine:
         PRAM cost accountant (default: no accounting).
-    backend:
-        Execution backend for the bulk steps (default in-process).
     recompute_probability:
         Recompute ``p`` from the current hypergraph each round (default).
         ``False`` reproduces Algorithm 2 literally (p fixed up front).
@@ -245,15 +238,10 @@ def beame_luby(
         "bl/solve", machine=mach, n=H.num_vertices, m=H.num_edges, dim=H.dimension
     ) as span:
         # Shape dispatch: the dense engines cover the plain solve (and emit
-        # the same per-round spans); anything holding CSR structures out to
-        # the caller (an explicit execution backend, a per-round hook) pins
-        # CSR.
-        blockers: list[str] = []
-        if backend is not None:
-            blockers.append("backend")
-        if on_round is not None:
-            blockers.append("on_round")
-        decision = select_backend(H, blockers=tuple(blockers))
+        # the same per-round spans); a per-round hook, which is handed CSR
+        # structures, pins CSR.
+        blockers = ("on_round",) if on_round is not None else ()
+        decision = select_backend(H, blockers=blockers)
         if decision.backend == "jit":
             result = beame_luby_dense(
                 H, seed, mach, recompute_probability, marking_probability,
@@ -271,7 +259,7 @@ def beame_luby(
             )
         else:
             result = _beame_luby(
-                H, seed, mach, backend, recompute_probability, marking_probability,
+                H, seed, mach, recompute_probability, marking_probability,
                 max_rounds, trace, on_round, trc,
             )
         if trc.enabled:
@@ -283,7 +271,6 @@ def _beame_luby(
     H: Hypergraph,
     seed: SeedLike,
     mach: Machine,
-    backend: ExecutionBackend | None,
     recompute_probability: bool,
     marking_probability: float | None,
     max_rounds: int,
@@ -291,7 +278,6 @@ def _beame_luby(
     on_round: RoundCallback | None,
     trc: Tracer | NullTracer,
 ) -> MISResult:
-    be = backend if backend is not None else SerialBackend()
     rng_stream = stream(seed)
 
     # One upfront cleanup (supersets, singletons) establishes the normal
@@ -369,13 +355,13 @@ def _beame_luby(
         ) as rspan:
             # (2) mark active vertices.
             active = W.vertices
-            coin = be.bernoulli(next(rng_stream), int(active.size), p)
+            coin = bernoulli_coins(next(rng_stream), int(active.size), p)
             marked_mask = np.zeros(W.universe, dtype=bool)
             marked_mask[active[coin]] = True
 
             # (3)–(5) unmark fully marked edges, commit survivors, cleanup.
             W_after, added, red, unmark_mask, edge_diff = apply_bl_round(
-                W, marked_mask, be, assume_normal=True, collect_diff=True
+                W, marked_mask, assume_normal=True, collect_diff=True
             )
             if added.size:
                 independent.extend(added.tolist())

@@ -43,7 +43,6 @@ from repro.kernels.bitstore import BitEdgeStore
 from repro.kernels.dispatch import select_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
-from repro.pram.backend import ExecutionBackend, SerialBackend
 from repro.pram.machine import Machine, NullMachine
 from repro.util.itlog import log2_ceil
 from repro.util.rng import SeedLike, stream
@@ -56,7 +55,6 @@ def karp_upfal_wigderson(
     seed: SeedLike = None,
     *,
     machine: Machine | None = None,
-    backend: ExecutionBackend | None = None,
     trace: bool = True,
     tracer: Tracer | NullTracer | None = None,
 ) -> MISResult:
@@ -70,10 +68,6 @@ def karp_upfal_wigderson(
         RNG seed (one child stream per round).
     machine:
         PRAM cost accountant.
-    backend:
-        Unused except for API symmetry (the per-round work is permutation +
-        reductions, all in-process); accepted so callers can pass one
-        backend everywhere.
     trace:
         Record per-round statistics.
     tracer:
@@ -82,7 +76,6 @@ def karp_upfal_wigderson(
         and ``kuw/round`` spans and stamps ``extras["wall_ns"]``.
     """
     mach = machine if machine is not None else NullMachine()
-    _ = backend if backend is not None else SerialBackend()
     trc = tracer if tracer is not None else current_tracer()
     with trc.span(
         "kuw/solve", machine=mach, n=H.num_vertices, m=H.num_edges, dim=H.dimension

@@ -27,7 +27,6 @@ from repro.core.result import MISResult
 from repro.hypergraph.degrees import degree_profile
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
-from repro.pram.backend import ExecutionBackend
 from repro.pram.machine import Machine
 from repro.util.rng import SeedLike
 
@@ -55,7 +54,6 @@ def linear_hypergraph_mis(
     seed: SeedLike = None,
     *,
     machine: Machine | None = None,
-    backend: ExecutionBackend | None = None,
     trace: bool = True,
     tracer: Tracer | NullTracer | None = None,
 ) -> MISResult:
@@ -80,7 +78,6 @@ def linear_hypergraph_mis(
             H,
             seed,
             machine=machine,
-            backend=backend,
             marking_probability=p,
             trace=trace,
             tracer=trc,

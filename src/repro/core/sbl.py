@@ -36,10 +36,9 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.ops import remove_edges_touching, trim_vertices
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
-from repro.pram.backend import ExecutionBackend, SerialBackend
 from repro.pram.machine import Machine, NullMachine
 from repro.theory.parameters import SBLParameters, sbl_parameters
-from repro.util.rng import SeedLike, stream
+from repro.util.rng import SeedLike, bernoulli_coins, stream
 
 __all__ = ["sbl", "SBLFailure"]
 
@@ -58,7 +57,6 @@ def sbl(
     seed: SeedLike = None,
     *,
     machine: Machine | None = None,
-    backend: ExecutionBackend | None = None,
     params: SBLParameters | None = None,
     p_override: float | None = None,
     d_cap_override: int | None = None,
@@ -82,8 +80,6 @@ def sbl(
         independent child streams.
     machine:
         PRAM cost accountant shared across all phases.
-    backend:
-        Bulk-step execution backend.
     params:
         Pre-computed :class:`SBLParameters` (defaults to the §2.2 formulas
         for ``n = |V|`` with practical clamps).
@@ -124,7 +120,6 @@ def sbl(
     if finisher not in ("kuw", "greedy"):
         raise ValueError(f"unknown finisher: {finisher!r}")
     mach = machine if machine is not None else NullMachine()
-    be = backend if backend is not None else SerialBackend()
     prm = params if params is not None else sbl_parameters(max(H.num_vertices, 2))
     p = p_override if p_override is not None else prm.effective_p
     if not 0.0 < p <= 1.0:
@@ -138,7 +133,7 @@ def sbl(
         "sbl/solve", machine=mach, n=H.num_vertices, m=H.num_edges, dim=H.dimension
     ) as span:
         result = _sbl(
-            H, seed, mach, be, backend, prm, p, d_cap, floor,
+            H, seed, mach, prm, p, d_cap, floor,
             max_failures_per_round, finisher, paranoid, trace, trc,
         )
         if trc.enabled:
@@ -154,8 +149,6 @@ def _sbl(
     H: Hypergraph,
     seed: SeedLike,
     mach: Machine,
-    be: ExecutionBackend,
-    backend: ExecutionBackend | None,
     prm: SBLParameters,
     p: float,
     d_cap: int,
@@ -176,13 +169,8 @@ def _sbl(
     # Algorithm 1 line 3: if the input dimension is already within the BL
     # cap, a single BL run suffices (lines 25–27).
     if W.dimension <= d_cap:
-        # Pass the *caller's* backend (None for the default): a non-None
-        # backend pins the inner BL to CSR, so handing every inner solve a
-        # fabricated SerialBackend used to block the dense engines on
-        # exactly the reduced shapes they win on.
         inner = beame_luby(
-            W, next(rng_stream), machine=mach, backend=backend, trace=trace,
-            tracer=trc,
+            W, next(rng_stream), machine=mach, trace=trace, tracer=trc
         )
         meta = {
             "params": prm,
@@ -218,7 +206,7 @@ def _sbl(
                 failures_this_round = 0
                 while True:
                     active = W.vertices
-                    coin = be.bernoulli(next(rng_stream), int(active.size), p)
+                    coin = bernoulli_coins(next(rng_stream), int(active.size), p)
                     mach.map(n_before)  # one coin per active vertex
                     sampled = active[coin]
                     if sampled.size == 0:
@@ -249,8 +237,7 @@ def _sbl(
             # select_backend like any solve: after dimension reduction these
             # are exactly the small shapes the dense engines cover.
             inner = beame_luby(
-                Hp, next(rng_stream), machine=mach, backend=backend, trace=trace,
-                tracer=trc,
+                Hp, next(rng_stream), machine=mach, trace=trace, tracer=trc
             )
             if paranoid:
                 inner.verify(Hp)
@@ -318,8 +305,7 @@ def _sbl(
                 obs_metrics.inc("solver/vertices_committed", W.num_vertices)
             elif finisher == "kuw":
                 tail = karp_upfal_wigderson(
-                    W, next(rng_stream), machine=mach, backend=backend, trace=trace,
-                    tracer=trc,
+                    W, next(rng_stream), machine=mach, trace=trace, tracer=trc
                 )
                 if paranoid:
                     tail.verify(W)

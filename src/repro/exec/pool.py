@@ -1,8 +1,7 @@
 """A thin, lifecycle-disciplined process pool.
 
 Wraps :class:`concurrent.futures.ProcessPoolExecutor` with the three
-properties the executor layer (and :class:`~repro.pram.backend.ProcessBackend`)
-needs and the stdlib class leaves implicit:
+properties the executor layer needs and the stdlib class leaves implicit:
 
 * **Order-preserving map.**  ``WorkerPool.map`` yields results in task
   order regardless of which worker finishes first — the keystone of the

@@ -259,8 +259,8 @@ class BitEdgeStore:
         return ext[self.block]
 
     def edge_mark_counts(self, marked: np.ndarray) -> np.ndarray:
-        """Per-edge count of marked vertices — dense twin of
-        ``SerialBackend.edge_mark_counts`` (``incidence @ marked``)."""
+        """Per-edge count of marked vertices — dense twin of the CSR
+        round's ``incidence @ marked`` (:func:`~repro.core.bl.apply_bl_round`)."""
         return self.gather(marked, False).sum(axis=1).astype(np.int64)
 
     def fully_marked(self, marked: np.ndarray) -> np.ndarray:

@@ -149,12 +149,12 @@ def beame_luby_dense(
     ``jit`` backend; both compute identical integers.
 
     The caller (the dispatcher inside :func:`repro.core.bl.beame_luby`)
-    guarantees ``H.dimension ≤ 3``, ``H.universe ≤ BLOCK_MAX_UNIVERSE``,
-    no ``on_round`` hook and no explicit execution backend; everything
-    else (seed handling, machine charging, trace records, metadata)
-    matches the CSR path bit for bit.  With an enabled tracer *trc* the
-    engine emits the same per-round ``bl/round`` spans as the CSR loop
-    and stamps ``extras["wall_ns"]`` on every round record.
+    guarantees ``H.dimension ≤ 3``, ``H.universe ≤ BLOCK_MAX_UNIVERSE``
+    and no ``on_round`` hook; everything else (seed handling, machine
+    charging, trace records, metadata) matches the CSR path bit for bit.
+    With an enabled tracer *trc* the engine emits the same per-round
+    ``bl/round`` spans as the CSR loop and stamps ``extras["wall_ns"]`` on
+    every round record.
     """
     from repro.core.bl import _charge_round  # deferred: core.bl imports us
 
@@ -304,7 +304,7 @@ def beame_luby_dense(
             else None
         )
 
-        # (2) mark — the exact SerialBackend.bernoulli draw for one chunk.
+        # (2) mark — the exact bernoulli_coins draw for one chunk.
         edged_rounds += 1
         draws_total += n
         if plan is None:

@@ -61,8 +61,8 @@ def beame_luby_frontier(
 
     The caller (the dispatcher inside :func:`repro.core.bl.beame_luby`)
     guarantees the shape is within the dense envelope with
-    ``H.dimension > 3`` (the engine itself is dimension-generic), no
-    ``on_round`` hook and no explicit execution backend.
+    ``H.dimension > 3`` (the engine itself is dimension-generic) and no
+    ``on_round`` hook.
     """
     from repro.core.bl import _charge_round  # deferred: core.bl imports us
 
@@ -173,7 +173,7 @@ def beame_luby_frontier(
             else None
         )
 
-        # (2) mark — the exact SerialBackend.bernoulli draw for one chunk.
+        # (2) mark — the exact bernoulli_coins draw for one chunk.
         edged_rounds += 1
         draws_total += n
         if plan is None:

@@ -63,10 +63,10 @@ def beame_luby_scalar(
 
     The caller (the dispatcher inside :func:`repro.core.bl.beame_luby`)
     guarantees ``H.dimension ≤ 3``, ``H.universe`` within the dense
-    envelope, no ``on_round`` hook and no explicit execution backend;
-    everything observable matches the CSR path bit for bit.  With an
-    enabled tracer *trc* the engine emits the same per-round ``bl/round``
-    spans as the CSR loop and stamps ``extras["wall_ns"]``.
+    envelope and no ``on_round`` hook; everything observable matches the
+    CSR path bit for bit.  With an enabled tracer *trc* the engine emits
+    the same per-round ``bl/round`` spans as the CSR loop and stamps
+    ``extras["wall_ns"]``.
     """
     from repro.core.bl import _charge_round  # deferred: core.bl imports us
 
@@ -217,7 +217,7 @@ def beame_luby_scalar(
             else None
         )
 
-        # (2) mark — the exact SerialBackend.bernoulli draw for one chunk.
+        # (2) mark — the exact bernoulli_coins draw for one chunk.
         edged_rounds += 1
         draws_total += n
         if plan is None:

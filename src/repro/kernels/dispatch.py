@@ -47,6 +47,7 @@ from repro.kernels.bl_dense import BLOCK_MAX_DIMENSION, BLOCK_MAX_UNIVERSE
 from repro.kernels.costmodel import preferred_backend, shape_bucket, usable_calibration
 from repro.kernels.jit import HAVE_NUMBA
 from repro.obs import metrics as obs_metrics
+from repro.util.rng import COIN_CHUNK
 
 __all__ = [
     "DENSE_MAX_DIMENSION",
@@ -66,7 +67,12 @@ __all__ = [
 #: tighter bounds (``BLOCK_MAX_*`` in :mod:`repro.kernels.bl_dense`): its
 #: pair tables are dense U² arrays.
 DENSE_MAX_DIMENSION = 8
-DENSE_MAX_UNIVERSE = 65536
+#: Not a tuning knob: the dense engines draw a round's coins for its
+#: ``n <= universe`` active vertices as one ``random(n)`` fill, which equals
+#: :func:`~repro.util.rng.bernoulli_coins` only while ``n <= COIN_CHUNK``.
+#: Past that the CSR path moves to a second child stream, and the engines
+#: would no longer be bit-identical.
+DENSE_MAX_UNIVERSE = COIN_CHUNK
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,7 @@ def select_backend(
     blockers:
         Call-site conditions that force CSR regardless of the request —
         e.g. an ``on_round`` hook (its signature hands out CSR hypergraph
-        successors) or an explicit execution backend.  Low-cardinality
-        labels; the first one is counted.
+        successors).  Low-cardinality labels; the first one is counted.
     """
     req = _validated(requested) if requested is not None else current_kernel()
     mode: str | None = None

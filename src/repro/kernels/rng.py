@@ -9,7 +9,7 @@ through the chain
     gen_i = default_rng(root.spawn(1)[0])    # stream(): one per round
     e4 = gen_i.integers(0, 2**63 - 1, 4)     # spawn_seeds(gen_i, 1)
     child = SeedSequence(e4).spawn(1)[0]
-    default_rng(child).random(n) < p         # SerialBackend.bernoulli
+    default_rng(child).random(n) < p         # bernoulli_coins, n <= COIN_CHUNK
 
 which costs ~60 µs per round in object construction alone — more than the
 whole dense round body is allowed to spend.  The chain is a pure function

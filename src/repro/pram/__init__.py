@@ -1,8 +1,10 @@
-"""EREW PRAM cost model and execution backends.
+"""EREW PRAM cost model.
 
 The paper's results are stated for the EREW PRAM: time = parallel depth,
 processors = poly(m, n).  CPython cannot honestly demonstrate shared-memory
-PRAM speedups (GIL), so this package separates the two concerns:
+PRAM speedups (GIL), so this package accounts for the parallel cost of
+each step rather than executing it in parallel (real parallel execution
+is the campaign executor's job, :mod:`repro.exec`):
 
 * **Accounting** (:mod:`repro.pram.machine`): algorithms describe each bulk
   step they perform to a :class:`~repro.pram.machine.Machine`; the
@@ -12,10 +14,6 @@ PRAM speedups (GIL), so this package separates the two concerns:
   work, and the processor count implied by Brent's theorem.  The
   :class:`~repro.pram.machine.NullMachine` makes accounting free when not
   needed.
-* **Execution** (:mod:`repro.pram.backend`): the data-parallel inner steps
-  (Bernoulli marking, per-edge mark counts) can actually be fanned out to a
-  process pool, demonstrating real parallel execution of the
-  embarrassingly parallel part of each round.
 * **Primitives** (:mod:`repro.pram.primitives`): scan / reduce / compact
   implementations that both compute (via NumPy) and charge the machine.
 """
@@ -28,12 +26,6 @@ from repro.pram.primitives import (
     inclusive_scan,
     pmap,
     preduce,
-)
-from repro.pram.backend import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    deterministic_equivalence,
 )
 from repro.pram.bl_program import BLRoundProgram, run_bl_round_program
 from repro.pram.simulator import AccessViolation, EREWSimulator, Instruction
@@ -50,13 +42,9 @@ __all__ = [
     "exclusive_scan",
     "broadcast",
     "compact",
-    "ExecutionBackend",
     "EREWSimulator",
     "Instruction",
     "AccessViolation",
     "BLRoundProgram",
     "run_bl_round_program",
-    "SerialBackend",
-    "ProcessBackend",
-    "deterministic_equivalence",
 ]

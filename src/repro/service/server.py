@@ -469,7 +469,13 @@ class SolveServer:
                     text.encode("utf-8"),
                 )
             elif method == "POST" and target == "/solve":
-                length = int(headers.get("content-length", "0"))
+                try:
+                    length = int(headers.get("content-length", "0"))
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    await self._http_reply(writer, 400, "text/plain", b"bad content-length\n")
+                    return
                 body = await reader.readexactly(length) if length else b""
                 try:
                     doc = decode_line(body)

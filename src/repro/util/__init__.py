@@ -4,7 +4,7 @@ This package contains small, dependency-light helpers that every other
 subsystem builds on:
 
 * :mod:`repro.util.rng` — deterministic random-number-generator plumbing
-  (seed trees, generator coercion).
+  (seed trees, generator coercion, the marking coin chain).
 * :mod:`repro.util.itlog` — iterated logarithms ``log``, ``log^(2)``,
   ``log^(3)`` and related closed forms used throughout the paper's
   parameter choices.

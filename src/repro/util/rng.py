@@ -18,12 +18,26 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
+from repro.obs import metrics as obs_metrics
+
 #: Types accepted anywhere a seed is expected.  Sequences may mix ints and
 #: strings; strings are hashed to stable integers (useful for labelling
 #: derived streams, e.g. ``(seed, "instances")``).
 SeedLike = Union[None, int, str, Sequence, np.random.SeedSequence, np.random.Generator]
 
-__all__ = ["SeedLike", "as_generator", "spawn_seeds", "spawn_generators", "stream"]
+__all__ = [
+    "COIN_CHUNK",
+    "SeedLike",
+    "as_generator",
+    "bernoulli_coins",
+    "spawn_seeds",
+    "spawn_generators",
+    "stream",
+]
+
+#: Coins per child stream in :func:`bernoulli_coins`.  Part of the RNG
+#: contract: changing it changes every marking draw longer than one chunk.
+COIN_CHUNK = 1 << 16
 
 
 def _entropy(seed) -> "int | list[int] | None":
@@ -131,3 +145,30 @@ def stream(seed: SeedLike) -> Iterator[np.random.Generator]:
     while True:
         (child,) = root.spawn(1)
         yield np.random.default_rng(child)
+
+
+def bernoulli_coins(seed: SeedLike, n: int, p: float) -> np.ndarray:
+    """*n* independent Bernoulli(*p*) coins as a boolean mask.
+
+    The marking step of BL and the sampling step of SBL.  Chunk *k* of
+    :data:`COIN_CHUNK` coins comes from the *k*-th child of
+    :func:`spawn_seeds`, so a draw of ``n <= COIN_CHUNK`` coins is
+    ``default_rng(spawn_seeds(seed, 1)[0]).random(n) < p`` (what the dense
+    kernels replay), and for a fixed non-Generator seed a longer draw
+    extends a shorter one.
+
+    >>> bool((bernoulli_coins(3, 10, 0.5) == bernoulli_coins(3, 10, 0.5)).all())
+    True
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability out of range: {p}")
+    obs_metrics.inc("backend/bernoulli_calls")
+    obs_metrics.inc("backend/bernoulli_draws", n)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    starts = range(0, n, COIN_CHUNK)
+    seeds = spawn_seeds(seed, len(starts))
+    return np.concatenate([
+        np.random.default_rng(s).random(min(COIN_CHUNK, n - start)) < p
+        for s, start in zip(seeds, starts)
+    ])

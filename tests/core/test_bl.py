@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.generators import (
     uniform_hypergraph,
 )
 from repro.hypergraph import Hypergraph, check_mis
+from repro.kernels.dispatch import select_backend
 from repro.pram import CountingMachine
 
 
@@ -95,6 +98,21 @@ class TestDeterminism:
         res = beame_luby(H, seed=1)
         added = sum(r.added for r in res.rounds)
         assert added == res.size
+
+    def test_multi_chunk_marking_pinned(self):
+        """A CSR solve whose first rounds draw more than COIN_CHUNK coins.
+
+        Pins the chunked coin stream end to end: any change to the chunk
+        size or the child-seed order moves this digest.
+        """
+        H = uniform_hypergraph(70_000, 140, 3, seed=5)
+        assert select_backend(H).reason == "auto:shape-sparse"
+        res = beame_luby(H, seed=7)
+        digest = hashlib.sha256(res.independent_set.astype(np.int64).tobytes())
+        assert digest.hexdigest() == (
+            "6a7bdf5347864c8890d48e0e4447ad60a23ae637ba4e3ae06d2b57ad82f232f5"
+        )
+        assert (res.size, res.num_rounds) == (69861, 56)
 
 
 class TestMarkingProbability:

@@ -1,20 +1,17 @@
 """Integration tests: full pipelines across modules.
 
 These exercise generator → algorithm → validator → analysis chains the way
-the examples and benchmarks do, including the process-pool backend and the
-serialisation round trip through an algorithm run.
+the examples and benchmarks do, including the serialisation round trip
+through an algorithm run.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import (
     CountingMachine,
     Hypergraph,
-    ProcessBackend,
-    SerialBackend,
     beame_luby,
     check_mis,
     greedy_mis,
@@ -62,16 +59,6 @@ class TestEndToEnd:
         assert "sbl" in phases
         assert ("kuw" in phases) or res.meta["outer_rounds"] > 0
         assert mach.depth > 0
-
-    @pytest.mark.slow
-    def test_process_backend_equals_serial_backend(self):
-        """Parallel execution must not change any algorithmic output."""
-        H = uniform_hypergraph(80, 160, 3, seed=0)
-        with ProcessBackend(workers=2, chunk_size=64) as pb:
-            a = beame_luby(H, seed=3, backend=pb)
-        b = beame_luby(H, seed=3, backend=SerialBackend(chunk_size=64))
-        assert np.array_equal(a.independent_set, b.independent_set)
-        assert a.num_rounds == b.num_rounds
 
     def test_scaling_pipeline(self):
         """Mini version of E8: generate, run, fit the exponent."""

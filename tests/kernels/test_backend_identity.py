@@ -43,6 +43,9 @@ INSTANCES = {
     "uniform-d4": uniform_hypergraph(36, 90, 4, seed=3),
     "uniform-d5": uniform_hypergraph(30, 60, 5, seed=4),
     "wide-u4096": uniform_hypergraph(4096, 96, 3, seed=5),
+    # The top of the dense envelope: universe == COIN_CHUNK, the largest
+    # draw the dense engines' single-chunk coin fill still reproduces.
+    "wide-u65536": uniform_hypergraph(65536, 96, 3, seed=5),
     "mixed-d5-wide": mixed_dimension_hypergraph(3000, 48, (2, 3, 4, 5), seed=6),
 }
 

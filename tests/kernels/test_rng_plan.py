@@ -20,7 +20,7 @@ from repro.util.rng import stream
 
 
 def _oracle_coins(seed, rounds: int, draws: int = 32) -> list[np.ndarray]:
-    """Round coins exactly as ``SerialBackend.bernoulli`` derives them."""
+    """Round coins exactly as ``bernoulli_coins`` derives them (one chunk)."""
     out = []
     st = stream(seed)
     for _ in range(rounds):

@@ -1,155 +1,66 @@
-"""Tests for execution backends (serial and process-pool)."""
+"""Tests for the serial marking step: the coin chain
+(:func:`repro.util.rng.bernoulli_coins`) and the CSR round's mark counts."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from repro.hypergraph import Hypergraph
-from repro.pram import ProcessBackend, SerialBackend, deterministic_equivalence
+from repro.core import apply_bl_round
+from repro.util.rng import COIN_CHUNK, bernoulli_coins
 
 
 class TestSerialBackend:
+    """The in-process bulk steps every CSR round and SBL sample runs."""
+
     def test_bernoulli_deterministic(self):
-        b = SerialBackend()
-        a = b.bernoulli(42, 1000, 0.3)
-        c = b.bernoulli(42, 1000, 0.3)
+        a = bernoulli_coins(42, 1000, 0.3)
+        c = bernoulli_coins(42, 1000, 0.3)
         assert np.array_equal(a, c)
 
     def test_bernoulli_rate(self):
-        b = SerialBackend()
-        marks = b.bernoulli(0, 20000, 0.25)
+        marks = bernoulli_coins(0, 20000, 0.25)
         assert abs(marks.mean() - 0.25) < 0.02
 
     def test_bernoulli_extremes(self):
-        b = SerialBackend()
-        assert not b.bernoulli(0, 100, 0.0).any()
-        assert b.bernoulli(0, 100, 1.0).all()
+        assert not bernoulli_coins(0, 100, 0.0).any()
+        assert bernoulli_coins(0, 100, 1.0).all()
 
     def test_bernoulli_empty(self):
-        assert SerialBackend().bernoulli(0, 0, 0.5).size == 0
+        assert bernoulli_coins(0, 0, 0.5).size == 0
 
     def test_probability_validated(self):
         with pytest.raises(ValueError):
-            SerialBackend().bernoulli(0, 10, 1.5)
+            bernoulli_coins(0, 10, 1.5)
 
     def test_chunking_invariance(self):
-        """Same seed, different chunk sizes: chunk boundaries change draws,
-        but each fixed chunk size is self-consistent."""
-        a = SerialBackend(chunk_size=64).bernoulli(9, 200, 0.5)
-        b = SerialBackend(chunk_size=64).bernoulli(9, 200, 0.5)
-        assert np.array_equal(a, b)
+        """A draw spanning several chunks is a prefix-extension of shorter
+        draws: crossing a chunk boundary never moves earlier coins."""
+        n = 2 * COIN_CHUNK + 123
+        full = bernoulli_coins(9, n, 0.5)
+        assert full.shape == (n,)
+        for k in (1, COIN_CHUNK - 1, COIN_CHUNK, COIN_CHUNK + 1, 2 * COIN_CHUNK):
+            assert np.array_equal(full[:k], bernoulli_coins(9, k, 0.5)), k
+        # Each chunk comes from its own child stream, not one long stream.
+        one_stream = np.random.default_rng(
+            np.random.SeedSequence(9).spawn(1)[0]
+        ).random(n) < 0.5
+        assert np.array_equal(full[:COIN_CHUNK], one_stream[:COIN_CHUNK])
+        assert not np.array_equal(full[COIN_CHUNK:], one_stream[COIN_CHUNK:])
 
     def test_edge_mark_counts(self, small_mixed):
-        be = SerialBackend()
+        """The CSR round's per-edge mark counts: only the fully marked edge
+        (0, 1, 2) retracts its marks, partially marked edges keep theirs."""
         marked = np.zeros(small_mixed.universe, dtype=bool)
-        marked[[0, 1, 2]] = True
-        counts = be.edge_mark_counts(small_mixed.incidence(), marked)
-        expected = [sum(v in (0, 1, 2) for v in e) for e in small_mixed.edges]
-        assert counts.tolist() == expected
+        marked[[0, 1, 2, 4]] = True
+        _, added, _, unmark = apply_bl_round(small_mixed, marked)
+        assert np.flatnonzero(unmark).tolist() == [0, 1, 2]
+        assert added.tolist() == [4]
 
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            SerialBackend(chunk_size=0)
-
-
-@pytest.mark.slow
-class TestProcessBackend:
-    def test_matches_serial(self):
-        with ProcessBackend(workers=2, chunk_size=128) as pb:
-            sb = SerialBackend(chunk_size=128)
-            a = pb.bernoulli(7, 1000, 0.4)
-            b = sb.bernoulli(7, 1000, 0.4)
-            assert np.array_equal(a, b)
-
-    def test_edge_counts_match_serial(self):
-        H = Hypergraph(50, [(i, i + 1, i + 2) for i in range(48)])
-        marked = np.zeros(50, dtype=bool)
-        marked[::2] = True
-        with ProcessBackend(workers=2, chunk_size=16) as pb:
-            a = pb.edge_mark_counts(H.incidence(), marked)
-        b = SerialBackend().edge_mark_counts(H.incidence(), marked)
-        assert np.array_equal(a, b)
-
-    def test_empty_inputs(self):
-        with ProcessBackend(workers=1) as pb:
-            assert pb.bernoulli(0, 0, 0.5).size == 0
-            empty = sp.csr_matrix((0, 10), dtype=np.int64)
-            assert pb.edge_mark_counts(empty, np.zeros(10, dtype=bool)).size == 0
-
-    def test_closed_backend_raises(self):
-        pb = ProcessBackend(workers=1)
-        pb.close()
-        with pytest.raises(RuntimeError):
-            pb.bernoulli(0, 10, 0.5)
-
-    def test_close_idempotent(self):
-        pb = ProcessBackend(workers=1)
-        pb.close()
-        pb.close()
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            ProcessBackend(workers=0)
-        with pytest.raises(ValueError):
-            ProcessBackend(chunk_size=0)
-
-    def test_presplit_cache_reused(self):
-        """The same incidence object is sliced once, not once per call."""
-        H = Hypergraph(40, [(i, i + 1) for i in range(39)])
-        inc = H.incidence()
-        marked = np.zeros(40, dtype=bool)
-        marked[::3] = True
-        with ProcessBackend(workers=1, chunk_size=8) as pb:
-            pb.edge_mark_counts(inc, marked)
-            first = pb._split_chunks
-            assert pb._split_for is inc
-            pb.edge_mark_counts(inc, marked)
-            assert pb._split_chunks is first
-            # A different matrix evicts the one-entry cache.
-            other = H.incidence().copy()
-            pb.edge_mark_counts(other, marked)
-            assert pb._split_for is other
-            assert pb._split_chunks is not first
-
-
-class TestDeterministicEquivalence:
-    """The chunking contract: results depend on (seed, chunk_size) only."""
-
-    def test_single_chunk_rejected(self):
-        """n inside one chunk certifies nothing — must raise, not pass."""
-        backends = [SerialBackend(chunk_size=256), SerialBackend(chunk_size=64)]
-        with pytest.raises(ValueError, match="one chunk"):
-            deterministic_equivalence(backends, seed=3, n=200, p=0.5)
-
-    def test_serial_backends_agree_across_chunks(self):
-        backends = [SerialBackend(chunk_size=64), SerialBackend(chunk_size=64)]
-        assert deterministic_equivalence(backends, seed=3, n=1000, p=0.5)
-
-    def test_incidence_shape_checked(self):
-        H = Hypergraph(50, [(i, i + 1) for i in range(49)])
-        backends = [SerialBackend(chunk_size=16), SerialBackend(chunk_size=16)]
-        with pytest.raises(ValueError, match="columns"):
-            deterministic_equivalence(
-                backends, seed=0, n=60, p=0.5, incidence=H.incidence()
-            )
-
-    def test_different_chunk_sizes_detected(self):
-        """Different chunk sizes place chunk boundaries differently, so the
-        streams genuinely diverge — the check must see that, which is what
-        the multi-chunk requirement guarantees."""
-        backends = [SerialBackend(chunk_size=64), SerialBackend(chunk_size=128)]
-        assert not deterministic_equivalence(backends, seed=3, n=1000, p=0.5)
-
-    @pytest.mark.slow
-    def test_process_matches_serial_across_chunks(self):
-        """Same seed, n spanning multiple chunks: the pool and the serial
-        path must agree bit-for-bit on draws AND on the matvec fan-out."""
-        n = 300
-        H = Hypergraph(n, [(i, i + 1, i + 2) for i in range(n - 2)])
-        with ProcessBackend(workers=2, chunk_size=64) as pb:
-            backends = [SerialBackend(chunk_size=64), pb]
-            assert deterministic_equivalence(
-                backends, seed=11, n=n, p=0.4, incidence=H.incidence()
-            )
+    def test_multi_chunk_stream_pinned(self):
+        coins = bernoulli_coins(9, 150_000, 0.3)
+        digest = hashlib.sha256(np.packbits(coins)).hexdigest()
+        assert digest == "ab9d5fd64fccb02fc8fea5499cdef03e10cb20aff5400acec98c89115965848c"
+        assert int(coins.sum()) == 44840

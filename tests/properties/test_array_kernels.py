@@ -25,7 +25,6 @@ from repro.generators import uniform_hypergraph
 from repro.hypergraph import Hypergraph, check_mis, degree_profile, normalize
 from repro.hypergraph.degrees import DeltaTracker
 from repro.hypergraph.ops import normalize_after_trim, trim_vertices
-from repro.pram import SerialBackend
 
 # ----------------------------------------------------------------------
 # instance generation
@@ -197,7 +196,7 @@ class TestBLRoundDifferential:
         marked_mask[active[rng.random(active.size) < 0.5]] = True
 
         W_after, added, red, unmark = apply_bl_round(
-            W, marked_mask, SerialBackend(), assume_normal=True
+            W, marked_mask, assume_normal=True
         )
         ref_after, ref_added, ref_red = reference_bl_round(
             W, {int(v) for v in np.flatnonzero(marked_mask)}
@@ -214,9 +213,8 @@ class TestBLRoundDifferential:
         marked_mask = np.zeros(W.universe, dtype=bool)
         active = W.vertices
         marked_mask[active[rng.random(active.size) < 0.5]] = True
-        be = SerialBackend()
-        fast = apply_bl_round(W, marked_mask, be, assume_normal=True)
-        slow = apply_bl_round(W, marked_mask, be, assume_normal=False)
+        fast = apply_bl_round(W, marked_mask, assume_normal=True)
+        slow = apply_bl_round(W, marked_mask, assume_normal=False)
         assert fast[0] == slow[0]
         assert fast[1].tolist() == slow[1].tolist()
         assert set(fast[2].tolist()) == set(slow[2].tolist())
@@ -231,7 +229,7 @@ class TestBLRoundDifferential:
         active = W.vertices
         marked_mask[active[rng.random(active.size) < 0.5]] = True
         W_after, added, red, unmark, (rem, add) = apply_bl_round(
-            W, marked_mask, SerialBackend(), assume_normal=True, collect_diff=True
+            W, marked_mask, assume_normal=True, collect_diff=True
         )
         before, after = set(W.edges), set(W_after.edges)
         assert set(rem) == before - after
@@ -264,7 +262,7 @@ class TestDeltaTracker:
                 active = W.vertices
                 marked_mask[active[rng.random(active.size) < 0.4]] = True
                 W_after, added, red, unmark, (rem, add) = apply_bl_round(
-                    W, marked_mask, SerialBackend(), assume_normal=True, collect_diff=True
+                    W, marked_mask, assume_normal=True, collect_diff=True
                 )
                 if W_after is not W:
                     if rem:

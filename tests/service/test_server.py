@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -280,6 +281,22 @@ class TestHttpTransport:
             assert response.status == 400
             assert json.loads(response.read())["status"] == "bad_request"
             conn.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_a_400(self, tmp_path, length):
+        config = _config(tmp_path, http=("127.0.0.1", 0))
+        with ServerThread(config) as handle:
+            assert handle.server is not None
+            port = handle.server.http_port
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(
+                    f"POST /solve HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}".encode()
+                )
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            assert reply.startswith(b"HTTP/1.1 400 "), reply
+            assert reply.endswith(b"bad content-length\n"), reply
 
 
 class TestCLI:
