@@ -90,9 +90,11 @@ def greedy_mis(
         m=H.num_edges,
         dim=H.dimension,
     ) as span:
-        edges = H.edges
-        sizes = [len(e) for e in edges]
-        accepted_count = [0] * len(edges)
+        # Sizes and counters come straight from the edge store: the tuple
+        # view (H.edges) is never built on the dense layout.
+        store = H.store
+        sizes = store.sizes().tolist()
+        accepted_count = [0] * store.num_edges
         in_I = np.zeros(H.universe, dtype=bool)
         added = 0
 
@@ -100,12 +102,11 @@ def greedy_mis(
         # edge sets, and the scan (order, accept/reject rule) is shared — the
         # backends are bit-identical by construction.  The dense layout is a
         # CSC-style flat index (one argsort) instead of a dict of lists.
-        store = H.store
         use_dense = bool(select_backend(H).dense and store.indices.size)
         if use_dense:
             csc_order = np.argsort(store.indices, kind="stable")
             eids = np.repeat(
-                np.arange(len(edges), dtype=np.intp), store.sizes()
+                np.arange(store.num_edges, dtype=np.intp), store.sizes()
             )[csc_order].tolist()
             aptr = np.zeros(H.universe + 1, dtype=np.intp)
             np.cumsum(

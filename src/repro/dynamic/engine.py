@@ -369,7 +369,13 @@ class DynamicMIS:
                 tracer=trc,
             )
             frozen = self._mis[~affected[self._mis]]
-            merged = np.union1d(frozen, result.independent_set)
+            # The patch lies inside `affected`, so it is disjoint from the
+            # frozen members: a universe mask splices them in sorted order
+            # without re-sorting the frozen remainder.
+            in_I = np.zeros(universe, dtype=bool)
+            in_I[frozen] = True
+            in_I[result.independent_set] = True
+            merged = np.flatnonzero(in_I)
             # Candidate vertices get fresh label ids (unique vs. every id
             # handed out so far); the untouched remainder keeps its own.
             new_labels = self._labels.copy()

@@ -152,12 +152,17 @@ class EdgeStore:
     caller's proof that the invariant already holds and skips all work).
     """
 
-    __slots__ = ("indptr", "indices", "_sizes")
+    __slots__ = ("indptr", "indices", "_sizes", "_keys")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         self.indptr = indptr
         self.indices = indices
         self._sizes: np.ndarray | None = None
+        # ``(base, width, keys)``: the packed edge keys that
+        # :mod:`repro.hypergraph.updates` computed for this store (or
+        # carried over from its predecessor).  Trusted like ``_sizes`` and,
+        # like it, not part of equality or hashing.
+        self._keys: tuple[int, int, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -275,7 +280,9 @@ class EdgeStore:
         new_indptr = np.zeros(kept_sizes.size + 1, dtype=np.intp)
         np.cumsum(kept_sizes, out=new_indptr[1:])
         new_indices = self.indices[np.repeat(edge_mask, sizes)]
-        return EdgeStore(new_indptr, new_indices)
+        out = EdgeStore(new_indptr, new_indices)
+        out._sizes = kept_sizes
+        return out
 
     def diff(self, other: "EdgeStore") -> tuple[np.ndarray, np.ndarray]:
         """Symmetric difference of two canonical stores, as index arrays.

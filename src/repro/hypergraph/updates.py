@@ -30,7 +30,13 @@ practical streamed instance) the whole batch runs **sort-free**: the old
 store is already lex-sorted, so packed keys are ascending, removals
 resolve by binary search, additions splice in with one ``np.insert``,
 and the structural diff falls out of the bookkeeping — O(Σ|e|) with no
-O(m log m) re-sort anywhere.  Degenerate shapes fall back to the general
+O(m log m) re-sort anywhere.  The keys are carried across chained calls:
+the successor store holds its predecessor's keys with the removed ones
+dropped and the fresh ones inserted, so the next batch of a stream packs
+only its own edges (a change of key width or universe recomputes them
+once).  What stays O(m) per batch is memory traffic — copying the
+successor's ``indices``/``indptr``/keys and the state's content hash —
+not Python or a matrix fill.  Degenerate shapes fall back to the general
 path (one canonical-store ``old.diff(new)`` comparison, a padded
 lex-sort); both paths are differentially tested against each other.
 """
@@ -96,6 +102,16 @@ def _packed_keys(store: EdgeStore, base: int, width: int) -> np.ndarray:
     return keys
 
 
+def _store_keys(store: EdgeStore, base: int, width: int) -> np.ndarray:
+    """The store's packed keys at ``(base, width)``: carried, or computed once."""
+    cached = store._keys
+    if cached is not None and cached[0] == base and cached[1] == width:
+        return cached[2]
+    keys = _packed_keys(store, base, width)
+    store._keys = (base, width, keys)
+    return keys
+
+
 def _fast_apply(
     old: EdgeStore, rem: EdgeStore, add: EdgeStore, universe: int
 ) -> tuple[EdgeStore, np.ndarray, np.ndarray, np.ndarray] | None:
@@ -105,6 +121,8 @@ def _fast_apply(
     store, the exact diff (cancellation already applied), and the indices
     of requested removals absent from *old* — or ``None`` when the shape
     cannot pack into 62 bits and the caller must take the lex-sort path.
+    The successor store carries its own keys, so the next batch of a
+    chain reads them instead of re-packing all of its edges.
     """
     width = 1
     for store in (old, rem, add):
@@ -113,7 +131,7 @@ def _fast_apply(
     base = universe + 3
     if width * math.log2(base) > _KEY_BITS:
         return None
-    keys_old = _packed_keys(old, base, width)
+    keys_old = _store_keys(old, base, width)
 
     if rem.num_edges:
         keys_rem = _packed_keys(rem, base, width)
@@ -134,6 +152,7 @@ def _fast_apply(
     keep[removed_all] = False
     mid = old.select(keep) if removed_all.size else old
     keys_mid = keys_old[keep] if removed_all.size else keys_old
+    new_store, new_keys = mid, keys_mid
 
     if add.num_edges:
         keys_add = _packed_keys(add, base, width)
@@ -157,14 +176,15 @@ def _fast_apply(
             new_indptr = np.zeros(new_sizes.size + 1, dtype=np.intp)
             np.cumsum(new_sizes, out=new_indptr[1:])
             new_store = EdgeStore.from_arrays(new_indptr, new_indices, canonical=True)
+            new_store._sizes = new_sizes
+            new_keys = np.insert(keys_mid, ins, keys_fresh)
             added_idx = ins + np.arange(fresh.num_edges, dtype=np.intp)
         else:
-            new_store = mid
             added_idx = np.empty(0, dtype=np.intp)
     else:
         keys_fresh = np.empty(0, dtype=np.int64)
-        new_store = mid
         added_idx = np.empty(0, dtype=np.intp)
+    new_store._keys = (base, width, new_keys)
 
     removed = removed_all
     added = added_idx
@@ -178,13 +198,44 @@ def _fast_apply(
     return new_store, removed, added, missing
 
 
+def _general_apply(
+    old: EdgeStore, rem: EdgeStore, add: EdgeStore
+) -> tuple[EdgeStore, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_fast_apply`'s result by full lex-sort canonicalisation and one
+    store diff — the path for shapes whose keys do not pack (carries no keys)."""
+    if rem.num_edges:
+        surviving, missing = old.diff(rem)
+        keep = np.zeros(old.num_edges, dtype=bool)
+        keep[surviving] = True
+        mid = old.select(keep)
+    else:
+        mid = old
+        missing = np.empty(0, dtype=np.intp)
+    if add.num_edges:
+        merged_indptr = np.concatenate([mid.indptr, mid.indptr[-1] + add.indptr[1:]])
+        merged_indices = np.concatenate([mid.indices, add.indices])
+        new_store = EdgeStore.from_arrays(merged_indptr, merged_indices, canonical=False)
+    else:
+        new_store = mid
+    removed, added = old.diff(new_store)
+    return new_store, removed, added, missing
+
+
 def _edge_ids_vertices(store: EdgeStore, edge_ids: np.ndarray) -> np.ndarray:
-    """Sorted unique vertices of the given edges of *store*."""
+    """Sorted unique vertices of the given edges of *store*.
+
+    Gathers only those edges' positions: O(Σ|e| over *edge_ids*), not a
+    mask over the whole store.
+    """
     if edge_ids.size == 0:
         return np.empty(0, dtype=np.intp)
-    mask = np.zeros(store.num_edges, dtype=bool)
-    mask[edge_ids] = True
-    return np.unique(store.indices[store.position_mask(mask)])
+    starts = store.indptr[edge_ids]
+    sizes = store.indptr[edge_ids + 1] - starts
+    offsets = np.cumsum(sizes) - sizes
+    positions = np.repeat(starts - offsets, sizes) + np.arange(
+        int(sizes.sum()), dtype=np.intp
+    )
+    return np.unique(store.indices[positions])
 
 
 def _edge_ids_tuples(store: EdgeStore, edge_ids: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -268,29 +319,9 @@ def apply_updates(
         raise IndexError("added edge contains a vertex outside the universe")
 
     fast = _fast_apply(old_store, rem_store, add_store, universe)
-    if fast is not None:
-        new_store, removed, added, missing = fast
-    else:
-        # General path: full lex-sort canonicalisation + one store diff.
-        if rem_store.num_edges:
-            surviving, missing = old_store.diff(rem_store)
-            keep = np.zeros(old_store.num_edges, dtype=bool)
-            keep[surviving] = True
-            mid_store = old_store.select(keep)
-        else:
-            mid_store = old_store
-            missing = np.empty(0, dtype=np.intp)
-        if add_store.num_edges:
-            merged_indptr = np.concatenate(
-                [mid_store.indptr, mid_store.indptr[-1] + add_store.indptr[1:]]
-            )
-            merged_indices = np.concatenate([mid_store.indices, add_store.indices])
-            new_store = EdgeStore.from_arrays(
-                merged_indptr, merged_indices, canonical=False
-            )
-        else:
-            new_store = mid_store
-        removed, added = old_store.diff(new_store)
+    new_store, removed, added, missing = (
+        fast if fast is not None else _general_apply(old_store, rem_store, add_store)
+    )
 
     ignored = 0
     if missing.size:

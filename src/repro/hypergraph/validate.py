@@ -65,18 +65,50 @@ def _member_mask(H: Hypergraph, members: Iterable[int] | np.ndarray) -> np.ndarr
     return mask
 
 
+def _member_counts(H: Hypergraph, mask: np.ndarray) -> np.ndarray:
+    """Per-edge count of member vertices — one sparse matvec."""
+    if H.num_edges == 0:
+        return np.empty(0, dtype=np.int64)
+    return H.incidence() @ mask.astype(np.int64)
+
+
+def _contained_edge(H: Hypergraph, counts: np.ndarray) -> tuple[int, ...] | None:
+    """The lowest edge whose vertices are all members, from member *counts*."""
+    inside = np.flatnonzero(counts == H.edge_sizes())
+    return H.store.edge(int(inside[0])) if inside.size else None
+
+
+def _free_vertex(H: Hypergraph, mask: np.ndarray, counts: np.ndarray) -> int | None:
+    """The lowest active non-member vertex no edge blocks, from member *counts*.
+
+    Vertex ``v`` is blocked iff some edge ``e ∋ v`` has all its *other*
+    vertices in ``I``; per edge this means ``|e ∩ I| = |e| − 1`` and the
+    one missing vertex is ``v``.
+    """
+    covered = mask.copy()
+    if counts.size:
+        near = np.flatnonzero(counts == H.edge_sizes() - 1)
+        if near.size:
+            # A near-complete edge has exactly one non-member vertex — the
+            # vertex it blocks — so the sum of its non-member ids *is* that
+            # vertex: one more matvec instead of a per-position gather.
+            outside = np.where(mask, 0, np.arange(H.universe, dtype=np.int64))
+            covered[(H.incidence() @ outside)[near]] = True
+        # An edge of size 1 ({v}) blocks v whenever v ∉ I (counts==0==size-1).
+    active = H.vertices
+    free = np.flatnonzero(~covered[active])
+    return int(active[free[0]]) if free.size else None
+
+
 def find_independence_witness(
     H: Hypergraph, members: Iterable[int] | np.ndarray
 ) -> tuple[int, ...] | None:
-    """Return an edge fully contained in *members*, or ``None``.
+    """Return the lowest edge fully contained in *members*, or ``None``.
 
     One sparse matvec over the incidence matrix.
     """
     mask = _member_mask(H, members)
-    inside = H.edges_within(mask)
-    if inside.size:
-        return H.edges[int(inside[0])]
-    return None
+    return _contained_edge(H, _member_counts(H, mask))
 
 
 def is_independent(H: Hypergraph, members: Iterable[int] | np.ndarray) -> bool:
@@ -87,56 +119,48 @@ def is_independent(H: Hypergraph, members: Iterable[int] | np.ndarray) -> bool:
 def find_maximality_witness(
     H: Hypergraph, members: Iterable[int] | np.ndarray
 ) -> int | None:
-    """Return a vertex of ``V \\ I`` whose addition keeps independence, or ``None``.
+    """Return the lowest addable vertex of ``V \\ I``, or ``None``.
 
-    Vectorised: vertex ``v`` is blocked iff some edge ``e ∋ v`` has all its
-    *other* vertices in ``I``; per edge this means ``|e ∩ I| = |e| − 1`` and
-    the one missing vertex is ``v``.  We compute per-edge member counts with
-    one matvec, then scan only the near-complete edges.
+    Vectorised: per-edge member counts, then the one non-member vertex of
+    each near-complete edge — two sparse matvecs in all.
     """
     mask = _member_mask(H, members)
-    active = H.vertices
-    candidates = active[~mask[active]]
-    if candidates.size == 0:
-        return None
-    blocked = np.zeros(H.universe, dtype=bool)
-    if H.num_edges:
-        counts = H.incidence() @ mask.astype(np.int64)
-        sizes = H.edge_sizes()
-        near = counts == sizes - 1
-        if near.any():
-            # A near-complete edge has exactly one non-member vertex — the
-            # vertex it blocks.  One gather over the near edges' positions.
-            store = H.store
-            blocked[
-                store.indices[store.position_mask(near) & ~mask[store.indices]]
-            ] = True
-        # An edge of size 1 ({v}) blocks v whenever v ∉ I (counts==0==size-1).
-    free = candidates[~blocked[candidates]]
-    return int(free[0]) if free.size else None
+    return _free_vertex(H, mask, _member_counts(H, mask))
+
+
+def _first_violation(
+    H: Hypergraph, members: Iterable[int] | np.ndarray
+) -> IndependenceViolation | MaximalityViolation | None:
+    """Both witnesses off one member mask and one count pass, independence first."""
+    mask = _member_mask(H, members)
+    counts = _member_counts(H, mask)
+    edge = _contained_edge(H, counts)
+    if edge is not None:
+        return IndependenceViolation(edge)
+    v = _free_vertex(H, mask, counts)
+    return None if v is None else MaximalityViolation(v)
 
 
 def is_maximal_independent(H: Hypergraph, members: Iterable[int] | np.ndarray) -> bool:
     """Is *members* a maximal independent set of *H*?"""
-    return (
-        find_independence_witness(H, members) is None
-        and find_maximality_witness(H, members) is None
-    )
+    return _first_violation(H, members) is None
 
 
 def check_mis(H: Hypergraph, members: Iterable[int] | np.ndarray) -> None:
     """Assert that *members* is an MIS of *H*; raise a witnessed violation otherwise.
 
+    One pass: the member mask and the per-edge member counts are built
+    once and both witnesses are read off them — the same witnesses
+    :func:`find_independence_witness` and :func:`find_maximality_witness`
+    return.
+
     Raises
     ------
     IndependenceViolation
-        If some edge lies fully inside the set.
+        If some edge lies fully inside the set (the lowest such edge).
     MaximalityViolation
-        If some vertex outside the set could be added.
+        If some vertex outside the set could be added (the lowest such).
     """
-    edge = find_independence_witness(H, members)
-    if edge is not None:
-        raise IndependenceViolation(edge)
-    v = find_maximality_witness(H, members)
-    if v is not None:
-        raise MaximalityViolation(v)
+    violation = _first_violation(H, members)
+    if violation is not None:
+        raise violation

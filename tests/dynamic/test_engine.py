@@ -193,3 +193,35 @@ def test_empty_hypergraph_start():
     out = engine.apply(add_edges=[(0, 1), (1, 2)])
     assert out.certified
     assert np.array_equal(engine.independent_set, engine.recompute_reference())
+
+
+def test_stream_identity_pinned():
+    # A 300-step hot-window churn stream with superset arrivals (dimension
+    # grows 3 -> 4), replayed through repair with the full certificate on
+    # every step.  The chain and MIS digests are pinned: a faster step
+    # path must leave every state and the final set bit-identical.
+    import hashlib
+
+    H0 = sharded_hypergraph(200, 16, 30, 3, seed=(7, "pin"))
+    engine = DynamicMIS(H0, seed=7)
+    batches = churn_stream(
+        H0,
+        300,
+        seed=(7, "pin-stream"),
+        batch_edges=4,
+        arrival_fraction=0.55,
+        hot_fraction=0.8,
+        hot_window=0.05,
+        adversarial_fraction=0.2,
+    )
+    strategies = _drive(engine, batches)
+    mis = engine.independent_set
+    assert strategies.count("repair") == 300
+    assert engine.hypergraph.dimension == 4
+    assert mis.size == 1694
+    assert engine.chain == (
+        "48af160ed762d14b316c5a97edb953fddc5fcc0fe4d1e7019b0141b191b1e627"
+    )
+    assert hashlib.sha256(np.asarray(mis, dtype=np.int64).tobytes()).hexdigest() == (
+        "b983fdf9a9d76d2a35a11fd3e41b2e863867ec91a6a819bc5f9e65bcb905ea9e"
+    )

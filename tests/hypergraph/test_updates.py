@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.hypergraph import Hypergraph, apply_updates, chain_hash, feed_tracker
+from repro.hypergraph import updates as updates_mod
 from repro.hypergraph.degrees import DeltaTracker
-from repro.hypergraph.updates import _fast_apply
-from repro.generators import uniform_hypergraph
+from repro.hypergraph.edgestore import EdgeStore
+from repro.hypergraph.updates import _fast_apply, _general_apply, _packed_keys
+from repro.generators import churn_stream, sharded_hypergraph, uniform_hypergraph
 from repro.util.rng import as_generator
 
 
@@ -179,3 +181,105 @@ def test_feed_tracker_matches_from_hypergraph():
     fresh = DeltaTracker.from_hypergraph(upd.hypergraph)
     assert tracker.delta_by_size == fresh.delta_by_size
     assert tracker.delta() == fresh.delta()
+
+
+def _checked_step(H, adds=(), removes=()):
+    """One apply_updates step, checked against the general (lex-sort) path.
+
+    The successor store must equal the general path's, with the same
+    exact diff, and — when the shape packs — carry keys equal to a fresh
+    packing of itself at the same ``(base, width)``.
+    """
+    upd = apply_updates(H, add_edges=adds, remove_edges=removes, strict=False)
+    rem = EdgeStore.from_iterable(removes)
+    add = EdgeStore.from_iterable(adds)
+    store, removed, added, missing = _general_apply(H.store, rem, add)
+    new = upd.hypergraph.store
+    assert new == store
+    assert np.array_equal(upd.removed, removed)
+    assert np.array_equal(upd.added, added)
+    assert upd.ignored_removals == missing.size
+    if new._keys is not None:
+        base, width, keys = new._keys
+        assert base == H.universe + 3
+        assert width >= (int(new.sizes().max()) if new.num_edges else 1)
+        assert np.array_equal(keys, _packed_keys(new, base, width))
+    return upd
+
+
+def test_carried_keys_match_fresh_packing_over_a_churn_stream():
+    H = sharded_hypergraph(6, 10, 14, 3, seed=41)
+    batches = churn_stream(
+        H, 60, seed=42, batch_edges=4, arrival_fraction=0.55,
+        hot_fraction=0.8, adversarial_fraction=0.3,
+    )
+    for batch in batches:
+        upd = _checked_step(H, batch.add_edges, batch.remove_edges)
+        assert upd.hypergraph.store._keys is not None
+        H = upd.hypergraph
+    # The adversarial supersets grew the width past the start dimension.
+    assert H.dimension > 3
+
+
+def test_carried_keys_across_width_changes():
+    H = Hypergraph(12, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    H = _checked_step(H, adds=[(1, 2, 3)]).hypergraph
+    assert H.store._keys[1] == 3
+    # Width growth: a superset arrival of size d+1.
+    H = _checked_step(H, adds=[(0, 1, 2, 9)]).hypergraph
+    assert H.store._keys[1] == 4
+    # Width shrink: remove the only widest edge, then keep going at d.
+    H = _checked_step(H, removes=[(0, 1, 2, 9)]).hypergraph
+    assert H.dimension == 3
+    H = _checked_step(H, adds=[(9, 10, 11)]).hypergraph
+    assert H.store._keys[1] == 3
+    # Add-only, remove-only, no-op, duplicate add and remove-then-re-add.
+    H = _checked_step(H, adds=[(2, 5, 8), (0, 4, 8)]).hypergraph
+    H = _checked_step(H, removes=[(3, 4, 5), (6, 7, 8)]).hypergraph
+    upd = _checked_step(H)
+    assert upd.is_noop and upd.hypergraph.store is H.store
+    assert _checked_step(H, adds=[(0, 1, 2)]).is_noop
+    assert _checked_step(H, adds=[(0, 1, 2)], removes=[(0, 1, 2)]).is_noop
+    # Remove everything, then refill from empty.
+    H = _checked_step(H, removes=list(H.edges)).hypergraph
+    assert H.num_edges == 0
+    H = _checked_step(H, adds=[(1, 5), (0, 11)]).hypergraph
+    assert H.edges == ((0, 11), (1, 5))
+
+
+def test_chained_step_packs_only_its_batch(monkeypatch):
+    H = sharded_hypergraph(20, 10, 14, 3, seed=43)
+    H = apply_updates(H, add_edges=[(0, 1, 2)]).hypergraph
+    packed: list[int] = []
+    real = updates_mod._packed_keys
+
+    def counting(store, base, width):
+        packed.append(store.num_edges)
+        return real(store, base, width)
+
+    monkeypatch.setattr(updates_mod, "_packed_keys", counting)
+    removes = [H.edges[0], H.edges[7]]
+    upd = _checked_step(H, adds=[(3, 4, 5), (10, 20, 30)], removes=removes)
+    # One packing per request store, never the 281-edge state: its keys
+    # came with it from the previous step.
+    assert packed == [2, 2], packed
+    assert upd.num_changed == 4
+
+
+def test_unpackable_universe_carries_no_keys():
+    # 3 * log2(2**21 + 3) > 62 bits: every batch takes the general path.
+    universe = 1 << 21
+    top = universe - 1
+    edges = [(0, 1, 2), (5, 6, top), (7, 8, 9)]
+    verts = sorted({v for e in edges for v in e} | {3, 4})
+    H = Hypergraph(universe, edges, vertices=verts)
+    for adds, removes in [
+        ([(2, 3, 4)], []),
+        ([], [(7, 8, 9)]),
+        ([(0, 4, top)], [(0, 1, 2), (1, 2, 3)]),
+        ([], []),
+    ]:
+        upd = _checked_step(H, adds, removes)
+        assert upd.hypergraph.store._keys is None
+        H = upd.hypergraph
+    assert sorted(H.edges) == [(0, 4, top), (2, 3, 4), (5, 6, top)]

@@ -117,3 +117,105 @@ class TestCheckMis:
     def test_exception_str(self):
         assert "edge" in str(IndependenceViolation((0, 1)))
         assert "vertex" in str(MaximalityViolation(3))
+
+
+def _random_instance(rng) -> Hypergraph:
+    """Mixed sizes 1..4, some inactive vertices, sometimes no edges."""
+    universe = int(rng.integers(1, 30))
+    active = np.flatnonzero(rng.random(universe) < 0.8)
+    if active.size == 0:
+        active = np.array([0])
+    edges = []
+    if rng.random() < 0.85:
+        for _ in range(int(rng.integers(1, 2 * universe + 2))):
+            size = int(rng.choice([1, 2, 2, 3, 3, 4]))
+            size = min(size, active.size)
+            edges.append(tuple(rng.choice(active, size=size, replace=False).tolist()))
+        if rng.random() < 0.5:  # half the instances keep no size-1 edge
+            edges = [e for e in edges if len(e) > 1] or edges
+    return Hypergraph(universe, edges, vertices=active)
+
+
+def _lowest_contained_edge(H: Hypergraph, members) -> tuple[int, ...] | None:
+    inside = set(members)
+    return next((e for e in H.edges if set(e) <= inside), None)
+
+
+def _lowest_free_vertex(H: Hypergraph, members) -> int | None:
+    inside = set(members)
+    for v in H.vertices.tolist():
+        if v in inside:
+            continue
+        if not any(v in e and set(e) - {v} <= inside for e in H.edges):
+            return v
+    return None
+
+
+class TestCertificateWitnesses:
+    """check_mis reads both witnesses off one pass; they must be the
+    standalone finders' witnesses, which are the lowest ones."""
+
+    def _check_same_witness(self, H: Hypergraph, members: list[int]) -> None:
+        edge = find_independence_witness(H, members)
+        vertex = find_maximality_witness(H, members)
+        assert edge == _lowest_contained_edge(H, members)
+        assert vertex == _lowest_free_vertex(H, members)
+        if edge is not None:
+            with pytest.raises(IndependenceViolation) as exc:
+                check_mis(H, members)
+            assert exc.value.edge == edge
+        elif vertex is not None:
+            with pytest.raises(MaximalityViolation) as exc:
+                check_mis(H, members)
+            assert exc.value.vertex == vertex
+        else:
+            check_mis(H, members)
+        assert is_maximal_independent(H, members) == (edge is None and vertex is None)
+
+    def test_corrupted_greedy_mis(self):
+        from repro.core.greedy import greedy_mis
+
+        rng = np.random.default_rng(2024)
+        corruptions = {"drop": 0, "add": 0}
+        for trial in range(150):
+            H = _random_instance(rng)
+            mis = greedy_mis(H, seed=trial).independent_set.tolist()
+            self._check_same_witness(H, mis)
+            if mis:
+                dropped = list(mis)
+                dropped.pop(int(rng.integers(len(dropped))))
+                self._check_same_witness(H, dropped)
+                corruptions["drop"] += 1
+            outside = sorted(set(H.vertices.tolist()) - set(mis))
+            if outside:
+                extra = sorted(mis + [outside[int(rng.integers(len(outside)))]])
+                self._check_same_witness(H, extra)
+                corruptions["add"] += 1
+        assert min(corruptions.values()) > 50, corruptions
+
+    def test_edgeless_and_inactive(self):
+        H = Hypergraph(6, [], vertices=[1, 4])
+        self._check_same_witness(H, [])
+        self._check_same_witness(H, [1])
+        self._check_same_witness(H, [1, 4])
+        # An inactive member is not a witness either way.
+        self._check_same_witness(H, [0, 1, 4])
+
+    def test_size_one_edges(self):
+        H = Hypergraph(4, [(2,), (0, 1), (1, 3)])
+        self._check_same_witness(H, [0, 3])
+        self._check_same_witness(H, [0, 2, 3])  # contains the edge (2,)
+        self._check_same_witness(H, [0])  # 3 is free; 2 never is
+
+
+def test_dense_greedy_leaves_tuple_view_unbuilt():
+    from repro.core.greedy import greedy_mis
+    from repro.generators import uniform_hypergraph
+    from repro.kernels.dispatch import select_backend
+
+    H = uniform_hypergraph(60, 120, 3, seed=5)
+    assert select_backend(H).dense
+    result = greedy_mis(H, seed=1)
+    assert H._edges is None
+    check_mis(H, result.independent_set)
+    assert H._edges is None
