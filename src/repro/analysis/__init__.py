@@ -6,7 +6,7 @@
   (degree-migration tracking, colored-fraction extraction) and trace
   aggregation helpers (power-law fits).
 * :mod:`repro.analysis.experiments` — one runner per experiment id
-  E1–E17 of DESIGN.md; each returns an
+  E1–E18 of DESIGN.md; each returns an
   :class:`~repro.analysis.experiments.ExperimentResult` that the
   benchmarks print and EXPERIMENTS.md records.
 * :mod:`repro.analysis.ablations` — the A1–A6 design-decision studies.

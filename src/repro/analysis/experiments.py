@@ -1,4 +1,4 @@
-"""Experiment runners E1–E17 (see DESIGN.md §4).
+"""Experiment runners E1–E18 (see DESIGN.md §4).
 
 Each runner reproduces one quantitative claim of the paper and returns an
 :class:`ExperimentResult` — a table plus notes — that the corresponding
@@ -34,6 +34,7 @@ from repro.core import (
     sbl,
 )
 from repro.core.bl import bl_marking_probability
+from repro.core.greedy import GreedyRounds
 from repro.generators import (
     bounded_edges_instance,
     mixed_dimension_hypergraph,
@@ -78,7 +79,7 @@ class ExperimentResult:
     Attributes
     ----------
     experiment_id:
-        ``"E1"`` … ``"E17"`` (or ``"A1"`` … ``"A6"`` for ablations).
+        ``"E1"`` … ``"E18"`` (or ``"A1"`` … ``"A6"`` for ablations).
     title:
         Human-readable claim description.
     headers, rows:
@@ -999,6 +1000,63 @@ def e17_permutation_conjecture(scale: str = "quick", seed: int = 0) -> Experimen
     )
 
 
+# ---------------------------------------------------------------------------
+# E18 — greedy along a random order: dependency depth on hypergraphs
+# ---------------------------------------------------------------------------
+def _greedy_depth(H: Hypergraph, order: np.ndarray) -> int:
+    """Rounds the greedy round body needs to decide every vertex (no tail)."""
+    state = GreedyRounds(H.store, order)
+    while state.undecided.size:
+        state.round()
+    return state.rounds
+
+
+def e18_greedy_depth(scale: str = "quick", seed: int = 0) -> ExperimentResult:
+    """Dependency depth of greedy along a uniformly random order.
+
+    Greedy along π decides a vertex once the earlier members of the edges
+    it closes are decided, so its parallel time is the dependency depth.
+    Fischer & Noever (2018) prove Θ(log n) for graphs; whether that carries
+    over to d-uniform hypergraphs is measured here, across n, d and m/n.
+    """
+    ns = _scales(scale, [2**8, 2**10, 2**12], [2**8, 2**10, 2**12, 2**14, 2**16])
+    repeats = _scales(scale, 2, 4)
+    log_ns = [math.log2(n) for n in ns]
+    rows = []
+    worst_ratio = 0.0
+    slopes = []
+    for d in (2, 3, 5):
+        for density in (1, 2, 4):
+            means = []
+            for i, n in enumerate(ns):
+                seeds = spawn_seeds((seed, 18000, d, density, i), repeats + 1)
+                H = uniform_hypergraph(n, density * n, d, seed=seeds[0])
+                depths = [
+                    _greedy_depth(H, np.random.default_rng(s).permutation(H.vertices.copy()))
+                    for s in seeds[1:]
+                ]
+                means.append(float(np.mean(depths)))
+                worst_ratio = max(worst_ratio, max(depths) / log_ns[i])
+                rows.append(
+                    [d, density, n, means[-1], max(depths), log_ns[i], means[-1] / log_ns[i]]
+                )
+            slopes.append(float(np.polyfit(log_ns, means, 1)[0]))
+    return ExperimentResult(
+        experiment_id="E18",
+        title="greedy along a random order — dependency depth on hypergraphs",
+        headers=["d", "m/n", "n", "depth(mean)", "depth(max)", "log₂ n", "depth/log₂ n"],
+        rows=rows,
+        notes=[
+            f"worst depth/log₂ n over all cells: {worst_ratio:.2f}.",
+            f"mean depth grows by {min(slopes):.2f}–{max(slopes):.2f} rounds per "
+            "doubling of n across the nine (d, m/n) families: a constant per "
+            "doubling is what Θ(log n) predicts (Fischer–Noever prove it for "
+            "graphs).",
+        ],
+        extras={"worst_ratio": worst_ratio, "max_slope": max(slopes)},
+    )
+
+
 #: Registry used by benchmarks, the report generator and ``run_experiment``.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "E1": e01_sbl_rounds,
@@ -1018,6 +1076,7 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "E15": e15_polynomial_tails,
     "E16": e16_potential_decay,
     "E17": e17_permutation_conjecture,
+    "E18": e18_greedy_depth,
 }
 
 
@@ -1027,7 +1086,7 @@ def run_experiment(
     seed: int = 0,
     workers: int | None = None,
 ) -> ExperimentResult:
-    """Run one experiment by id (``"E1"`` … ``"E17"``).
+    """Run one experiment by id (``"E1"`` … ``"E18"``).
 
     With ``workers`` set, an ambient :class:`repro.exec.ParallelRunner`
     is installed for the duration, so runners built on the

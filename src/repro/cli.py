@@ -850,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--set", default="", help="comma-separated vertex ids")
     c.set_defaults(func=_cmd_check)
 
-    e = sub.add_parser("experiment", help="run an experiment (E1–E17) or ablation (A1–A7)")
+    e = sub.add_parser("experiment", help="run an experiment (E1–E18) or ablation (A1–A7)")
     e.add_argument("experiment_id")
     e.add_argument("--scale", choices=["quick", "full"], default="quick")
     e.add_argument("--seed", type=int, default=0)

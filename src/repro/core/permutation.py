@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.greedy import pi_last
 from repro.core.result import MISResult, RoundRecord
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.ops import normalize, trim_vertices
-from repro.kernels.bitstore import BitEdgeStore
-from repro.kernels.dispatch import select_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import NullTracer, Tracer, current_tracer
 from repro.pram.machine import Machine, NullMachine
@@ -99,13 +98,6 @@ def _permutation_bl(
     independent: list[int] = []
     records: list[RoundRecord] = []
 
-    # Shape dispatch, decided once per solve (the universe never grows and
-    # the dimension never increases across rounds).  On dense instances the
-    # π-max detection runs over the padded incidence block; everything else
-    # — RNG, machine charges, cleanup, records — is shared, so the backends
-    # are bit-identical by construction.
-    use_dense = select_backend(H).dense
-
     for round_index in range(max_rounds):
         if W.num_vertices == 0:
             break
@@ -151,25 +143,11 @@ def _permutation_bl(
             rank = np.zeros(W.universe, dtype=np.int64)
             rank[perm] = np.arange(1, active.size + 1)
 
-            # A vertex is excluded iff it is the π-max of some edge.  Ranks
-            # are globally unique, so within an edge exactly one position
-            # attains the edge's max-reduceat value.
-            excluded = np.zeros(W.universe, dtype=bool)
+            # A vertex is excluded iff it is the π-max of some edge; rank r
+            # belongs to perm[r - 1].
             store = W.store
-            if use_dense:
-                dense = BitEdgeStore.from_store(store, W.universe)
-                rank_block = dense.gather(rank, 0)
-                edge_max = rank_block.max(axis=1)
-                at_max = (rank_block == edge_max[:, None]) & (
-                    dense.block < W.universe
-                )
-                excluded[dense.block[at_max]] = True
-            else:
-                rank_pos = rank[store.indices]
-                edge_max = np.maximum.reduceat(rank_pos, store.indptr[:-1])
-                excluded[
-                    store.indices[rank_pos == np.repeat(edge_max, W.edge_sizes())]
-                ] = True
+            excluded = np.zeros(W.universe, dtype=bool)
+            excluded[perm[pi_last(store, rank[store.indices]) - 1]] = True
             add_mask = np.zeros(W.universe, dtype=bool)
             add_mask[active] = True
             add_mask &= ~excluded

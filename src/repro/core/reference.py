@@ -15,6 +15,7 @@ __all__ = [
     "reference_fully_marked_edges",
     "reference_bl_round",
     "reference_superset_removal",
+    "reference_greedy",
 ]
 
 
@@ -73,3 +74,24 @@ def reference_superset_removal(H: Hypergraph) -> Hypergraph:
         if not any(sets[j] < sets[i] for j in range(len(sets)) if j != i)
     ]
     return H.replace(edges=keep)
+
+
+def reference_greedy(H: Hypergraph, order) -> list[int]:
+    """Greedy MIS along *order*, one vertex at a time — the scan's spec.
+
+    A vertex is rejected iff some edge containing it has all its other
+    vertices already accepted, detected with a per-edge count of accepted
+    members.  Returns the accepted vertices, sorted.
+    """
+    sizes = [len(e) for e in H.edges]
+    accepted_count = [0] * len(sizes)
+    adj = H.vertex_to_edges()
+    accepted = []
+    for v in order:
+        incident = adj.get(int(v), ())
+        if any(accepted_count[i] == sizes[i] - 1 for i in incident):
+            continue
+        accepted.append(int(v))
+        for i in incident:
+            accepted_count[i] += 1
+    return sorted(accepted)

@@ -55,8 +55,9 @@ DEFAULT_CALIBRATION_PATH = Path(__file__).resolve().parents[3] / "DYNAMIC_CALIBR
 
 #: Delta-fraction above which recompute wins when no calibration applies.
 #: Conservative: repair's fixed overhead (diff + component labeling) is
-#: vectorised while the greedy scan it avoids is per-vertex Python, so the
-#: measured crossover usually sits far higher.
+#: small next to the greedy solve over the whole instance that it avoids
+#: (numpy rounds, O(n + Σ|e|) work either way), so the measured crossover
+#: usually sits far higher.
 STATIC_CROSSOVER_FRACTION = 0.25
 
 #: Delta-fraction band upper bounds (exclusive), smallest first; used only

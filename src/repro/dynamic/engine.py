@@ -23,10 +23,9 @@ edge that changed would make its endpoints dirty), hence the frozen
 restriction of ``I_{t-1}`` is already the greedy answer there, and the
 re-solved affected components supply the rest.  Repair therefore returns
 **bit-identical** output to recompute-from-scratch — the property the
-stream fuzzer pins per seed across kernel backends.  The greedy scan
-itself rides :func:`repro.kernels.dispatch.select_backend` for its
-adjacency layout, so repairs use the dense kernels whenever the patch
-shape qualifies.
+stream fuzzer pins per seed across kernel backends.  The greedy solve is
+:func:`repro.core.greedy.greedy_rounds`, one numpy kernel for every
+patch shape.
 
 Every update still ends in an explicit certificate pass
 (:func:`repro.hypergraph.validate.check_mis` on the *updated* hypergraph)
@@ -46,6 +45,7 @@ from repro.core.greedy import greedy_mis
 from repro.core.result import RoundRecord
 from repro.dynamic.costmodel import decide_strategy
 from repro.hypergraph.components import component_labels
+from repro.hypergraph.edgestore import EdgeStore
 from repro.hypergraph.hypergraph import EdgeLike, Hypergraph
 from repro.hypergraph.updates import UpdateResult, apply_updates
 from repro.hypergraph.validate import check_mis
@@ -78,6 +78,22 @@ def _local_labels(cand: np.ndarray, sub_store) -> np.ndarray:
     )
     _, raw = csgraph.connected_components(graph, directed=False)
     return raw[:k].astype(np.intp)
+
+
+def _take_edges(store: EdgeStore, rows: np.ndarray) -> EdgeStore:
+    """The edges *rows* (ascending) of *store*, gathering only their positions.
+
+    Equal to ``store.select(mask)`` for the mask with these rows set, but
+    it touches ``O(Σ|e| over rows)`` instead of every position — the right
+    call for a small region of a large store.
+    """
+    sizes = store.sizes()[rows]
+    indptr = np.zeros(rows.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=indptr[1:])
+    shift = np.repeat(store.indptr[rows] - indptr[:-1], sizes)
+    out = EdgeStore(indptr, store.indices[shift + np.arange(indptr[-1])])
+    out._sizes = sizes
+    return out
 
 
 @dataclass(frozen=True)
@@ -348,7 +364,7 @@ class DynamicMIS:
             store = H_new.store
             if store.num_edges:
                 first = store.indices[store.indptr[:-1]]
-                cand_store = store.select(cand_mask[first])
+                cand_store = _take_edges(store, np.flatnonzero(cand_mask[first]))
             else:
                 cand_store = store
             local = _local_labels(cand, cand_store)

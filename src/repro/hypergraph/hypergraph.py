@@ -20,9 +20,9 @@ Design notes
   and validates.
 * **Vectorised hot path.**  The fully-marked-edge test at the heart of the
   Beame–Luby algorithm is a sparse matrix–vector product against the CSR
-  incidence matrix, whose index arrays *are* the edge store's arrays
-  (building it allocates only the data vector); per-edge Python loops are
-  kept only in reference implementations used for differential testing.
+  incidence matrix, built once per instance from the edge store's arrays;
+  per-edge Python loops are kept only in reference implementations used
+  for differential testing.
 * **Value semantics.**  Instances are immutable; the update operations in
   :mod:`repro.hypergraph.ops` return new instances.  This costs an array
   rebuild per algorithm round — rounds are polylogarithmic, each round is
@@ -288,8 +288,10 @@ class Hypergraph:
 
         Row ``i`` is the indicator vector of edge ``i``.  The hot path of
         every marking algorithm is ``incidence() @ marked`` which yields,
-        per edge, the number of marked vertices.  The index arrays are the
-        edge store's own — only the data vector is allocated.
+        per edge, the number of marked vertices.  Built once and cached.
+        scipy downcasts the store's int64 index arrays to int32 when they
+        fit, so construction copies them (an O(Σ|e|) pass) besides
+        allocating the data vector.
         """
         if self._incidence is None:
             data = np.ones(self._store.indices.size, dtype=np.int64)

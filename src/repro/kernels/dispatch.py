@@ -1,8 +1,8 @@
 """Shape-based kernel dispatch for the MIS solvers.
 
-Every solver entry point (``beame_luby``, ``karp_upfal_wigderson``,
-``permutation_bl``, ``greedy_mis``) asks this module which execution
-backend to run — callers never pick one by hand.  The decision uses cheap
+The BL and KUW entry points (``beame_luby``, ``karp_upfal_wigderson``)
+ask this module which execution backend to run — callers never pick one
+by hand.  The decision uses cheap
 instance features only (universe, dimension, n, m, density; in the spirit
 of the A5 cost-model ablation: features you can read off the store headers
 without touching the payload), plus hard blockers from the call site

@@ -1,4 +1,4 @@
-"""Smoke + verdict tests for the experiment runners E1–E17.
+"""Smoke + verdict tests for the experiment runners E1–E18.
 
 Each experiment must (a) run at quick scale, (b) produce a well-formed
 table, and (c) reach the verdict the paper predicts (recorded in extras).
@@ -26,7 +26,7 @@ def _well_formed(res: ExperimentResult) -> None:
 
 class TestRegistry:
     def test_all_fourteen_registered(self):
-        assert set(EXPERIMENTS) == {f"E{i}" for i in range(1, 18)}
+        assert set(EXPERIMENTS) == {f"E{i}" for i in range(1, 19)}
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown experiment"):
@@ -143,6 +143,16 @@ class TestQuickVerdicts:
         res = run_experiment("E17", seed=0)
         _well_formed(res)
         assert res.extras["worst_exponent"] < 0.3
+
+    def test_e18_greedy_depth(self):
+        res = run_experiment("E18", seed=0)
+        _well_formed(res)
+        assert len(res.rows) == 27  # 3 dimensions x 3 densities x 3 sizes
+        for d, _, n, mean, worst, log_n, _ in res.rows:
+            assert 1 <= mean <= worst < n
+        # Logarithmic, not polynomial: a few rounds per doubling at most.
+        assert res.extras["max_slope"] < 2.0
+        assert res.extras["worst_ratio"] < 2.0
 
 
 class TestDeterminism:

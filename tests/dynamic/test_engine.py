@@ -225,3 +225,15 @@ def test_stream_identity_pinned():
     assert hashlib.sha256(np.asarray(mis, dtype=np.int64).tobytes()).hexdigest() == (
         "b983fdf9a9d76d2a35a11fd3e41b2e863867ec91a6a819bc5f9e65bcb905ea9e"
     )
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.03, 0.5, 1.0])
+def test_take_edges_equals_select(fraction):
+    from repro.dynamic.engine import _take_edges
+
+    store = uniform_hypergraph(300, 700, 3, seed=9).store
+    mask = np.random.default_rng(9).random(store.num_edges) < fraction
+    taken = _take_edges(store, np.flatnonzero(mask))
+    selected = store.select(mask)
+    assert taken == selected
+    assert np.array_equal(taken.sizes(), selected.sizes())
