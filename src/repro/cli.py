@@ -24,20 +24,23 @@ versioned JSONL span/metric event log (see docs/observability.md), which
 render.  ``--profile HZ`` adds sampling-profiler events to the stream;
 ``--heartbeat SEC`` and ``--metrics-out PATH`` publish campaign liveness
 gauges as OpenMetrics text.
+
+Importing this module loads only what ``solve`` runs (the solvers, the
+hypergraph substrate, numpy and ``scipy.sparse``).  Each other command
+imports its own dependencies — analysis, the executor, generators, the
+service, the dynamic engine, fuzzing — when it runs, and the argument
+parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import Callable, Iterator, Sequence
 
-from repro.analysis import run_experiment
-from repro.analysis.ablations import run_ablation
-from repro.analysis.tables import render_kv
-from repro.exec.workers import resolve_workers
 from repro.core import (
     beame_luby,
     greedy_mis,
@@ -46,13 +49,6 @@ from repro.core import (
     luby_mis,
     permutation_bl,
     sbl,
-)
-from repro.generators import (
-    bounded_edges_instance,
-    mixed_dimension_hypergraph,
-    random_linear_hypergraph,
-    sparse_random_graph,
-    uniform_hypergraph,
 )
 from repro.hypergraph import check_mis
 from repro.hypergraph.degrees import degree_profile
@@ -77,6 +73,14 @@ ALGORITHMS: dict[str, Callable] = {
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.generators import (
+        bounded_edges_instance,
+        mixed_dimension_hypergraph,
+        random_linear_hypergraph,
+        sparse_random_graph,
+        uniform_hypergraph,
+    )
+
     if args.family == "uniform":
         H = uniform_hypergraph(args.n, args.m, args.d, seed=args.seed)
     elif args.family == "mixed":
@@ -99,6 +103,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import render_kv
+
     H = load(args.instance)
     info = {
         "vertices": H.num_vertices,
@@ -273,7 +279,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         write_csv,
     )
     from repro.analysis.tables import render_table
-    from repro.generators import uniform_hypergraph as _uniform
+    from repro.exec.workers import resolve_workers
+    from repro.generators import uniform_hypergraph
 
     algo_names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for a in algo_names:
@@ -284,7 +291,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         instances=[
             InstanceSpec(
                 f"uniform-{args.d}-n{n}",
-                _uniform,
+                uniform_hypergraph,
                 {"n": n, "m": args.edge_factor * n, "d": args.d},
             )
             for n in ns
@@ -398,6 +405,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis import run_experiment
+    from repro.analysis.ablations import run_ablation
+    from repro.exec.workers import resolve_workers
+
     eid = args.experiment_id.upper()
     with _telemetry(
         args.telemetry,
@@ -419,6 +430,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz_run(args: argparse.Namespace) -> int:
+    from repro.exec.workers import resolve_workers
     from repro.qa import parse_budget, run_fuzz
 
     budget = parse_budget(args.budget)
@@ -528,6 +540,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
+    from repro.exec.workers import resolve_workers
     from repro.service import ServerConfig, SolveServer
 
     workers = resolve_workers(args.workers)
@@ -689,7 +702,7 @@ def _cmd_trace_flame(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for tests and docs)."""
+    """A new CLI argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Parallel maximal independent sets of hypergraphs (SPAA 2014 reproduction)",
@@ -1080,10 +1093,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser: parsing keeps no state in it, so one serves
+    every :func:`main` call (building it costs ~4 ms)."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -12,7 +12,10 @@ and dedups within edges, and one ``np.lexsort`` over a sentinel-padded edge
 matrix sorts and dedups the edge list — no per-edge Python.  Python-tuple
 comparison order is reproduced exactly by padding short edges with ``-1``
 (a missing position compares *smaller* than any vertex, so a prefix sorts
-before its extensions, just as ``(0, 1) < (0, 1, 2)``).
+before its extensions, just as ``(0, 1) < (0, 1, 2)``).  Array input
+(:meth:`EdgeStore.from_arrays` with ``canonical=False``: parsed files, the
+update merge) is first checked in O(Σ|e|) and adopted as it is when
+already canonical, as every file ``dump`` writes is.
 
 The store is the linchpin of the trusted-construction fast path
 (:meth:`Hypergraph._from_arrays`): every operation here that only *selects*
@@ -50,22 +53,60 @@ def _row_ids(indptr: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(sizes.size, dtype=np.intp), sizes)
 
 
+def _padded(indptr: np.ndarray, indices: np.ndarray, sizes: np.ndarray, dmax: int) -> np.ndarray:
+    """The edges as the rows of an ``(m, dmax)`` matrix padded with ``-1``."""
+    rows = _row_ids(indptr, sizes)
+    cols = np.arange(indices.size, dtype=np.intp) - np.repeat(indptr[:-1], sizes)
+    M = np.full((sizes.size, dmax), -1, dtype=np.intp)
+    M[rows, cols] = indices
+    return M
+
+
+def _ids_ascending(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Is every edge strictly increasing?  One compare per position."""
+    if indices.size < 2:
+        return True
+    step = indices[1:] > indices[:-1]
+    step[indptr[1:-1] - 1] = True  # an edge's first id need not exceed the last edge's
+    return bool(step.all())
+
+
+def _rows_ascending(M: np.ndarray) -> bool:
+    """Are the padded rows strictly lex-ascending (sorted, no duplicates)?
+
+    Walks the columns, comparing each row with its successor only while
+    all earlier columns tie; a pair tied through every column is a
+    duplicate and fails.
+    """
+    tied = np.ones(M.shape[0] - 1, dtype=bool)
+    for c in range(M.shape[1]):
+        if not tied.any():
+            return True
+        a, b = M[:-1, c], M[1:, c]
+        if (tied & (b < a)).any():
+            return False
+        tied &= b == a
+    return not tied.any()
+
+
 def _lexsort_rows(
     indptr: np.ndarray,
     indices: np.ndarray,
     changed: np.ndarray | None = None,
+    padded: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Sort edges lexicographically and merge duplicates.
 
-    Input edges must already be internally sorted and non-empty.  Returns
-    ``(indptr, indices, changed_out, present_out)`` where, when *changed*
-    is given, *changed_out* ORs the per-edge flags over each duplicate
-    group — a dedup collision marks the surviving edge as changed, which
-    :func:`repro.hypergraph.ops.normalize_after_trim` relies on — and
-    *present_out* flags output edges whose group contains an *unchanged*
-    member, i.e. edges whose tuple already existed verbatim in the input
-    (what lets callers report an exact edge diff without a full set
-    comparison).
+    Input edges must already be internally sorted and non-empty; *padded*
+    is their padded matrix (see :func:`_padded`) when the caller has one.
+    Returns ``(indptr, indices, changed_out, present_out)`` where, when
+    *changed* is given, *changed_out* ORs the per-edge flags over each
+    duplicate group — a dedup collision marks the surviving edge as
+    changed, which :func:`repro.hypergraph.ops.normalize_after_trim`
+    relies on — and *present_out* flags output edges whose group contains
+    an *unchanged* member, i.e. edges whose tuple already existed verbatim
+    in the input (what lets callers report an exact edge diff without a
+    full set comparison).
     """
     sizes = np.diff(indptr)
     m = sizes.size
@@ -75,10 +116,7 @@ def _lexsort_rows(
     dmax = int(sizes.max())
     if dmax > _PAD_LIMIT:
         return _lexsort_rows_fallback(indptr, indices, changed)
-    rows = _row_ids(indptr, sizes)
-    cols = np.arange(indices.size, dtype=np.intp) - np.repeat(indptr[:-1], sizes)
-    M = np.full((m, dmax), -1, dtype=np.intp)
-    M[rows, cols] = indices
+    M = _padded(indptr, indices, sizes, dmax) if padded is None else padded
     order = np.lexsort(M.T[::-1])
     Ms = M[order]
     keep = np.empty(m, dtype=bool)
@@ -149,7 +187,8 @@ class EdgeStore:
 
     Construct via :meth:`from_iterable` (general input, full
     canonicalisation) or :meth:`from_arrays` (``canonical=True`` trusts the
-    caller's proof that the invariant already holds and skips all work).
+    caller's proof that the invariant already holds and skips all work;
+    ``canonical=False`` checks it first).
     """
 
     __slots__ = ("indptr", "indices", "_sizes", "_keys")
@@ -173,7 +212,15 @@ class EdgeStore:
 
     @classmethod
     def from_iterable(cls, edges: Iterable[Iterable[int]]) -> "EdgeStore":
-        """Canonicalise arbitrary edge input (the general construction path)."""
+        """Canonicalise arbitrary edge input (the general construction path).
+
+        Always sorts.  Taking :meth:`from_arrays`' already-canonical check
+        here as well would speed up generators whose output is canonical,
+        but it also changes the heap the sort leaves behind: on a 2-CPU
+        Xeon VM the ``DynamicMIS`` builds that follow ``sharded_hypergraph``
+        then page-fault ~2,400–5,000 times each and run ~35% slower (see
+        the benchmark follow-ups in ROADMAP.md).
+        """
         edge_list = [tuple(e) for e in edges]
         if not edge_list:
             return cls.empty()
@@ -185,7 +232,7 @@ class EdgeStore:
         indices = np.fromiter(
             (int(v) for e in edge_list for v in e), dtype=np.intp, count=int(indptr[-1])
         )
-        return cls.from_arrays(indptr, indices, canonical=False)
+        return cls._sorted(indptr, indices, sizes)
 
     @classmethod
     def from_arrays(
@@ -195,19 +242,48 @@ class EdgeStore:
 
         With ``canonical=True`` the arrays are adopted as-is — the trusted
         fast path for algorithm-produced successors.  With ``canonical=False``
-        the full canonicalisation runs: sort + dedup within each edge, then
-        lex-sort + dedup the edge list.
+        the invariant is checked in O(Σ|e|): ids strictly ascending inside
+        each edge, then edges strictly lex-ascending (first ids, then one
+        padded-row compare).  Input that passes is adopted as-is; otherwise
+        the failing stage's canonicalisation runs — sort + dedup within
+        each edge, then lex-sort + dedup the edge list — with the same
+        result as sorting every input.  Only a sort counts toward the
+        ``edgestore/canonicalisations`` metric.
         """
         indptr = np.asarray(indptr, dtype=np.intp)
         indices = np.asarray(indices, dtype=np.intp)
         if canonical:
             return cls(indptr, indices)
-        obs_metrics.inc("edgestore/canonicalisations")
         sizes = np.diff(indptr)
         if (sizes == 0).any():
             raise ValueError(_EMPTY_EDGE_MSG)
         if sizes.size == 0:
             return cls.empty()
+        indptr = np.ascontiguousarray(indptr)
+        indices = np.ascontiguousarray(indices)
+        if not _ids_ascending(indptr, indices):
+            return cls._sorted(indptr, indices, sizes)
+        padded = None
+        dmax = int(sizes.max())
+        first = indices[indptr[:-1]]
+        if dmax <= _PAD_LIMIT and not (first[1:] < first[:-1]).any():
+            if indices.size == sizes.size * dmax:  # every edge has dmax ids
+                padded = indices.reshape(sizes.size, dmax)
+            else:
+                padded = _padded(indptr, indices, sizes, dmax)
+            if _rows_ascending(padded):
+                out = cls(indptr, indices)
+                out._sizes = sizes
+                return out
+        obs_metrics.inc("edgestore/canonicalisations")
+        out_indptr, out_indices, _, _ = _lexsort_rows(indptr, indices, padded=padded)
+        return cls(out_indptr, out_indices)
+
+    @classmethod
+    def _sorted(cls, indptr: np.ndarray, indices: np.ndarray, sizes: np.ndarray) -> "EdgeStore":
+        """Full canonicalisation of non-empty edges: sort + dedup within
+        each edge, then lex-sort + dedup the edge list."""
+        obs_metrics.inc("edgestore/canonicalisations")
         # Within-edge sort: lexsort with row as the primary key keeps rows
         # grouped (they are already in ascending order) and sorts inside.
         rows = _row_ids(indptr, sizes)

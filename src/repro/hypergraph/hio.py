@@ -15,20 +15,39 @@ Two formats:
 
 * **JSON** — ``{"universe": n, "vertices": [...], "edges": [[...], ...]}``.
 
-Both round-trip through the canonical representation.
+Both round-trip through the canonical representation.  Both parsers build
+the CSR arrays directly (no tuple per edge) and hand them to
+:meth:`Hypergraph.from_arrays` with ``canonical=False``, whose check adopts
+already-canonical input — every file :func:`dump` writes — without a sort.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import TextIO, Union
+
+import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 
 __all__ = ["dumps", "loads", "dump", "load", "to_json", "from_json"]
 
 PathLike = Union[str, Path]
+
+#: Bytes of a plain edge line: digits, space, tab, and the ending newline.
+#: Such lines are split in bulk; any other byte sends its line through
+#: :class:`_LineReader`.
+_PLAIN = np.zeros(256, dtype=bool)
+_PLAIN[np.frombuffer(b"0123456789 \t\n", dtype=np.uint8)] = True
+#: ASCII line breaks of ``str.splitlines`` besides ``\n``: with any of them
+#: the byte offsets no longer give the line numbers, so every line is read
+#: one at a time.
+_OTHER_BREAKS = np.frombuffer(b"\r\x0b\x0c\x1c\x1d\x1e", dtype=np.uint8)
+#: Longer digit runs may not fit an int64; their lines are read one at a
+#: time, as Python ints.
+_MAX_DIGITS = 18
 
 
 def dumps(H: Hypergraph) -> str:
@@ -42,30 +61,99 @@ def dumps(H: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads(text: str) -> Hypergraph:
-    """Parse the plain-text format."""
-    universe: int | None = None
-    vertices = None
-    edges: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+class _LineReader:
+    """Directives and edges of the lines read one at a time."""
+
+    def __init__(self) -> None:
+        self.universe: int | None = None
+        self.vertices: list[int] | None = None
+        self.sizes: list[int] = []
+        self.ids: list[int] = []
+
+    def read(self, lineno: int, raw: str) -> None:
         line = raw.split("#", 1)[0].strip()
         if not line:
-            continue
+            return
         parts = line.split()
         if parts[0] == "universe":
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: malformed universe directive")
-            universe = int(parts[1])
+            self.universe = int(parts[1])
         elif parts[0] == "vertices":
-            vertices = [int(x) for x in parts[1:]]
+            self.vertices = [int(x) for x in parts[1:]]
         else:
             try:
-                edges.append(tuple(int(x) for x in parts))
+                self.ids.extend([int(x) for x in parts])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: non-integer vertex id") from exc
-    if universe is None:
+            self.sizes.append(len(parts))
+
+
+def _split_plain(text: str, reader: _LineReader) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes and ids of the plain edge lines of *text*, in one bulk pass.
+
+    Every other line — directives, comments, anything beyond digits and
+    blanks — goes to *reader* in line order, so its errors carry their
+    line numbers.  Text that is not ASCII, or that breaks lines with
+    anything but ``\n``, is read entirely line by line.
+    """
+    empty = np.empty(0, dtype=np.intp)
+    data = None
+    if text.isascii():
+        data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        odd = np.flatnonzero(~_PLAIN[data])
+        if np.isin(data[odd], _OTHER_BREAKS).any():
+            data = None
+    if data is None:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            reader.read(lineno, raw)
+        return empty, empty
+    newlines = np.flatnonzero(data == ord("\n"))
+    digit = (data >= ord("0")) & (data <= ord("9"))
+    step = np.diff(digit.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(step == 1)
+    lengths = np.flatnonzero(step == -1) - starts
+    token_line = np.searchsorted(newlines, starts)
+    special = np.zeros(newlines.size + 1, dtype=bool)
+    special[np.searchsorted(newlines, odd)] = True
+    special[token_line[lengths > _MAX_DIGITS]] = True
+    line_starts = np.concatenate(([0], newlines + 1))
+    line_ends = np.append(newlines, data.size)
+    for line in np.flatnonzero(special).tolist():
+        reader.read(line + 1, text[line_starts[line] : line_ends[line]])
+    plain = ~special[token_line]
+    starts, lengths, token_line = starts[plain], lengths[plain], token_line[plain]
+    if starts.size == 0:
+        return empty, empty
+    # Horner over the digit columns: one pass per digit of the longest id.
+    ids = np.zeros(starts.size, dtype=np.intp)
+    last = data.size - 1
+    for k in range(int(lengths.max())):
+        d = data[np.minimum(starts + k, last)].astype(np.intp) - ord("0")
+        np.copyto(ids, ids * 10 + d, where=lengths > k)
+    sizes = np.bincount(token_line, minlength=newlines.size + 1)
+    return sizes[sizes > 0], ids
+
+
+def _from_parts(
+    universe: int, vertices, sizes: np.ndarray, ids: np.ndarray
+) -> Hypergraph:
+    """The hypergraph of a parsed universe, vertex list and flat edge ids."""
+    indptr = np.zeros(sizes.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=indptr[1:])
+    return Hypergraph.from_arrays(universe, vertices, indptr, ids, canonical=False)
+
+
+def loads(text: str) -> Hypergraph:
+    """Parse the plain-text format."""
+    reader = _LineReader()
+    sizes, ids = _split_plain(text, reader)
+    if reader.universe is None:
         raise ValueError("missing 'universe' directive")
-    return Hypergraph(universe, edges, vertices=vertices)
+    if reader.sizes:
+        sizes = np.concatenate([sizes, np.asarray(reader.sizes, dtype=np.intp)])
+        ids = np.concatenate([ids, np.asarray(reader.ids, dtype=np.intp)])
+    return _from_parts(reader.universe, reader.vertices, sizes, ids)
 
 
 def dump(H: Hypergraph, fp: Union[TextIO, PathLike]) -> None:
@@ -99,10 +187,12 @@ def from_json(text: str) -> Hypergraph:
     """Parse the JSON format produced by :func:`to_json`."""
     obj = json.loads(text)
     try:
-        return Hypergraph(
-            int(obj["universe"]),
-            [tuple(e) for e in obj["edges"]],
-            vertices=obj.get("vertices"),
-        )
+        universe = int(obj["universe"])
+        edges = obj["edges"]
+        flat = list(chain.from_iterable(edges))
+        vertices = obj.get("vertices")
     except KeyError as exc:
         raise ValueError(f"missing JSON field: {exc}") from exc
+    sizes = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
+    ids = np.fromiter(map(int, flat), dtype=np.intp, count=len(flat))
+    return _from_parts(universe, vertices, sizes, ids)

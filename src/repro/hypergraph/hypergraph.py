@@ -184,8 +184,10 @@ class Hypergraph:
         With ``canonical=True`` (the round-trip case) the arrays are
         adopted as-is — no copy, no validation — so workers attaching to a
         shared-memory buffer pay only the view construction.  Pass
-        ``canonical=False`` for arrays of unknown provenance; the full
-        canonicalisation and active-vertex validation then runs.
+        ``canonical=False`` for arrays of unknown provenance; they are
+        canonicalised (adopted as-is when already canonical, see
+        :meth:`EdgeStore.from_arrays`) and the active-vertex validation
+        runs.
         """
         store = EdgeStore.from_arrays(indptr, indices, canonical=canonical)
         if canonical:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.hypergraph.edgestore import _PAD_LIMIT, EdgeStore
+from repro.obs import metrics
 
 
 def reference_canonical(edges) -> tuple[tuple[int, ...], ...]:
@@ -71,6 +72,81 @@ class TestCanonicalisation:
         trusted = EdgeStore.from_arrays(base.indptr, base.indices, canonical=True)
         assert trusted.indptr is base.indptr
         assert trusted.indices is base.indices
+
+
+def _csr(edges):
+    """Raw CSR arrays of an edge list, in the given order."""
+    sizes = [len(e) for e in edges]
+    indptr = np.zeros(len(edges) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr, np.asarray([v for e in edges for v in e], dtype=np.intp)
+
+
+def _sorts(edges) -> tuple[EdgeStore, float]:
+    """``from_arrays(canonical=False)`` on *edges* and the sorts it ran."""
+    with metrics.isolated_registry() as registry:
+        store = EdgeStore.from_arrays(*_csr(edges), canonical=False)
+        counters = registry.snapshot()["counters"]
+    return store, counters.get("edgestore/canonicalisations", 0)
+
+
+class TestAlreadyCanonical:
+    """``from_arrays(canonical=False)`` adopts canonical input without a
+    sort and sorts anything else to the same result as the tuple path."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1, 2), (0, 3), (1, 2, 3), (2, 4)],  # mixed sizes
+            [(0, 1), (0, 1, 2), (0, 2)],  # a prefix before its extension
+            [(0,), (1, 2), (3,)],  # size-1 edges
+            [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],  # uniform
+            [(5, 7)],
+        ],
+    )
+    def test_canonical_input_is_adopted(self, edges):
+        indptr, indices = _csr(edges)
+        store = EdgeStore.from_arrays(indptr, indices, canonical=False)
+        assert store.indptr is indptr and store.indices is indices
+        assert store.edge_tuples() == reference_canonical(edges)
+        assert _sorts(edges)[1] == 0
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (2, 3), (1, 2), (3, 4)],  # one swapped pair
+            [(0, 1), (0, 1, 2), (0, 1, 2), (2, 3)],  # one duplicate edge
+            [(0, 1, 2), (0, 1), (0, 2)],  # extension before its prefix
+            [(0, 2), (0, 1)],  # first ids tie, second out of order
+            [(0, 1), (2, 1)],  # one edge unsorted inside
+            [(0, 1, 1), (2, 3)],  # a repeated id inside an edge
+            [(4,), (4,)],  # duplicate size-1 edges
+        ],
+    )
+    def test_near_canonical_input_is_sorted(self, edges):
+        store, sorts = _sorts(edges)
+        assert store.edge_tuples() == reference_canonical(edges)
+        assert sorts == 1
+
+    def test_random_inputs_match_tuple_path(self):
+        rng = np.random.default_rng(303)
+        adopted = 0
+        for _, edges in random_edge_lists(seed=303, trials=200):
+            if rng.random() < 0.5:  # make about half of them canonical
+                edges = list(reference_canonical(edges))
+            if edges and rng.random() < 0.3:
+                i = int(rng.integers(len(edges)))
+                edges.insert(i, edges[i])  # a duplicate next to its twin
+            store, sorts = _sorts(edges)
+            assert store.edge_tuples() == reference_canonical(edges)
+            adopted += edges != [] and sorts == 0
+        assert adopted > 20
+
+    def test_wide_edges_take_the_sort(self):
+        big = tuple(range(_PAD_LIMIT + 5))
+        edges = [(0,), big, (1, 2)]
+        store, _ = _sorts(edges)
+        assert store.edge_tuples() == reference_canonical(edges)
 
 
 class TestSelect:

@@ -408,3 +408,45 @@ class TestStream:
         assert names & {"dynamic/repair", "dynamic/recompute"}
         text = prom.read_text()
         assert "repro_dynamic_updates_total" in text
+
+
+class TestCachedParser:
+    """``main`` reuses one parser per process: calls must not see each
+    other's flags, and a rejected argument must not break the next call."""
+
+    def _solve(self, capsys, *argv) -> str:
+        assert main(["solve", *argv]) == 0
+        return capsys.readouterr().out
+
+    def test_parser_is_built_once(self):
+        from repro import cli
+
+        assert cli._parser() is cli._parser()
+
+    def test_calls_are_independent(self, instance, capsys):
+        plain = self._solve(capsys, str(instance))
+        flagged = self._solve(
+            capsys, str(instance), "--pretty", "--costs", "--algorithm", "kuw", "--seed", "4"
+        )
+        other = self._solve(capsys, str(instance), "--algorithm", "greedy")
+        assert self._solve(capsys, str(instance)) == plain
+        assert "\n  " in flagged and json.loads(flagged)["pram"]["depth"] > 0
+        assert json.loads(flagged)["algorithm"] == "kuw"
+        for out in (plain, other):
+            assert out.count("\n") == 1 and "pram" not in json.loads(out)
+        assert json.loads(plain)["algorithm"] == "sbl"
+        assert json.loads(other)["algorithm"] == "greedy"
+
+    def test_bad_argument_leaves_parser_usable(self, instance, capsys):
+        plain = self._solve(capsys, str(instance), "--seed", "2")
+        for argv in (
+            ["solve", str(instance), "--algorithm", "quantum"],
+            ["solve"],
+            ["solve", str(instance), "--seed", "x", "--pretty"],
+            ["no-such-command"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert self._solve(capsys, str(instance), "--seed", "2") == plain
