@@ -93,20 +93,18 @@ def _lexsort_rows(
     indptr: np.ndarray,
     indices: np.ndarray,
     changed: np.ndarray | None = None,
-    padded: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Sort edges lexicographically and merge duplicates.
 
-    Input edges must already be internally sorted and non-empty; *padded*
-    is their padded matrix (see :func:`_padded`) when the caller has one.
-    Returns ``(indptr, indices, changed_out, present_out)`` where, when
-    *changed* is given, *changed_out* ORs the per-edge flags over each
-    duplicate group — a dedup collision marks the surviving edge as
-    changed, which :func:`repro.hypergraph.ops.normalize_after_trim`
-    relies on — and *present_out* flags output edges whose group contains
-    an *unchanged* member, i.e. edges whose tuple already existed verbatim
-    in the input (what lets callers report an exact edge diff without a
-    full set comparison).
+    Input edges must already be internally sorted and non-empty.  Returns
+    ``(indptr, indices, changed_out, present_out)`` where, when *changed*
+    is given, *changed_out* ORs the per-edge flags over each duplicate
+    group — a dedup collision marks the surviving edge as changed, which
+    :func:`repro.hypergraph.ops.normalize_after_trim` relies on — and
+    *present_out* flags output edges whose group contains an *unchanged*
+    member, i.e. edges whose tuple already existed verbatim in the input
+    (what lets callers report an exact edge diff without a full set
+    comparison).
     """
     sizes = np.diff(indptr)
     m = sizes.size
@@ -116,7 +114,7 @@ def _lexsort_rows(
     dmax = int(sizes.max())
     if dmax > _PAD_LIMIT:
         return _lexsort_rows_fallback(indptr, indices, changed)
-    M = _padded(indptr, indices, sizes, dmax) if padded is None else padded
+    M = _padded(indptr, indices, sizes, dmax)
     order = np.lexsort(M.T[::-1])
     Ms = M[order]
     keep = np.empty(m, dtype=bool)
@@ -245,10 +243,9 @@ class EdgeStore:
         the invariant is checked in O(Σ|e|): ids strictly ascending inside
         each edge, then edges strictly lex-ascending (first ids, then one
         padded-row compare).  Input that passes is adopted as-is; otherwise
-        the failing stage's canonicalisation runs — sort + dedup within
-        each edge, then lex-sort + dedup the edge list — with the same
-        result as sorting every input.  Only a sort counts toward the
-        ``edgestore/canonicalisations`` metric.
+        the full canonicalisation runs — sort + dedup within each edge,
+        then lex-sort + dedup the edge list.  Only that sort counts toward
+        the ``edgestore/canonicalisations`` metric.
         """
         indptr = np.asarray(indptr, dtype=np.intp)
         indices = np.asarray(indices, dtype=np.intp)
@@ -261,23 +258,19 @@ class EdgeStore:
             return cls.empty()
         indptr = np.ascontiguousarray(indptr)
         indices = np.ascontiguousarray(indices)
-        if not _ids_ascending(indptr, indices):
-            return cls._sorted(indptr, indices, sizes)
-        padded = None
         dmax = int(sizes.max())
-        first = indices[indptr[:-1]]
-        if dmax <= _PAD_LIMIT and not (first[1:] < first[:-1]).any():
-            if indices.size == sizes.size * dmax:  # every edge has dmax ids
-                padded = indices.reshape(sizes.size, dmax)
-            else:
-                padded = _padded(indptr, indices, sizes, dmax)
-            if _rows_ascending(padded):
-                out = cls(indptr, indices)
-                out._sizes = sizes
-                return out
-        obs_metrics.inc("edgestore/canonicalisations")
-        out_indptr, out_indices, _, _ = _lexsort_rows(indptr, indices, padded=padded)
-        return cls(out_indptr, out_indices)
+        if dmax <= _PAD_LIMIT and _ids_ascending(indptr, indices):
+            first = indices[indptr[:-1]]
+            if not (first[1:] < first[:-1]).any():
+                if indices.size == sizes.size * dmax:  # every edge has dmax ids
+                    padded = indices.reshape(sizes.size, dmax)
+                else:
+                    padded = _padded(indptr, indices, sizes, dmax)
+                if _rows_ascending(padded):
+                    out = cls(indptr, indices)
+                    out._sizes = sizes
+                    return out
+        return cls._sorted(indptr, indices, sizes)
 
     @classmethod
     def _sorted(cls, indptr: np.ndarray, indices: np.ndarray, sizes: np.ndarray) -> "EdgeStore":

@@ -151,8 +151,15 @@ def loads(text: str) -> Hypergraph:
     if reader.universe is None:
         raise ValueError("missing 'universe' directive")
     if reader.sizes:
+        try:
+            extra = np.asarray(reader.ids, dtype=np.intp)
+        except OverflowError:
+            # An id beyond int64: a bad universe or vertex list is
+            # reported first, as the constructor does.
+            Hypergraph(reader.universe, (), vertices=reader.vertices)
+            raise
         sizes = np.concatenate([sizes, np.asarray(reader.sizes, dtype=np.intp)])
-        ids = np.concatenate([ids, np.asarray(reader.ids, dtype=np.intp)])
+        ids = np.concatenate([ids, extra])
     return _from_parts(reader.universe, reader.vertices, sizes, ids)
 
 
@@ -194,5 +201,10 @@ def from_json(text: str) -> Hypergraph:
     except KeyError as exc:
         raise ValueError(f"missing JSON field: {exc}") from exc
     sizes = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
-    ids = np.fromiter(map(int, flat), dtype=np.intp, count=len(flat))
+    try:
+        ids = np.fromiter(map(int, flat), dtype=np.intp, count=len(flat))
+    except (TypeError, ValueError, OverflowError):
+        # Ids that are not int64: the constructor raises what it always
+        # did, after its universe, vertex and empty-edge checks.
+        return Hypergraph(universe, [tuple(e) for e in edges], vertices=vertices)
     return _from_parts(universe, vertices, sizes, ids)

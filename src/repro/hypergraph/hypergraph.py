@@ -43,6 +43,19 @@ __all__ = ["Hypergraph"]
 EdgeLike = Iterable[int]
 
 
+def _checked_vertices(universe: int, vertices) -> np.ndarray:
+    """The sorted active-vertex array, after checking the universe and
+    that every vertex lies in it (all of it when *vertices* is None)."""
+    if universe < 0:
+        raise ValueError(f"universe must be non-negative: {universe}")
+    if vertices is None:
+        return np.arange(universe, dtype=np.intp)
+    v = np.unique(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices, dtype=np.intp))
+    if v.size and (v[0] < 0 or v[-1] >= universe):
+        raise IndexError("vertex outside universe")
+    return v
+
+
 class Hypergraph:
     """An immutable hypergraph ``H = (V, E)`` over a fixed integer universe.
 
@@ -84,16 +97,8 @@ class Hypergraph:
         edges: Iterable[EdgeLike] = (),
         vertices: Sequence[int] | np.ndarray | None = None,
     ):
-        if universe < 0:
-            raise ValueError(f"universe must be non-negative: {universe}")
+        self._vertices = _checked_vertices(universe, vertices)
         self._universe = int(universe)
-        if vertices is None:
-            self._vertices = np.arange(universe, dtype=np.intp)
-        else:
-            v = np.unique(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices, dtype=np.intp))
-            if v.size and (v[0] < 0 or v[-1] >= universe):
-                raise IndexError("vertex outside universe")
-            self._vertices = v
         self._store = edges if isinstance(edges, EdgeStore) else EdgeStore.from_iterable(edges)
         self._validate_edges_active()
         self._init_caches()
@@ -189,10 +194,15 @@ class Hypergraph:
         :meth:`EdgeStore.from_arrays`) and the active-vertex validation
         runs.
         """
-        store = EdgeStore.from_arrays(indptr, indices, canonical=canonical)
         if canonical:
+            store = EdgeStore.from_arrays(indptr, indices, canonical=True)
             return cls._from_arrays(int(universe), store, np.asarray(vertices, dtype=np.intp))
-        return cls(int(universe), store, vertices=vertices)
+        universe = int(universe)
+        verts = _checked_vertices(universe, vertices)  # before the edges, as __init__
+        store = EdgeStore.from_arrays(indptr, indices, canonical=False)
+        obj = cls._from_arrays(universe, store, verts)
+        obj._validate_edges_active()
+        return obj
 
     def content_hash(self) -> str:
         """SHA-256 over the canonical arrays (hex digest, cached).

@@ -139,6 +139,19 @@ class TestArrayParserMatchesSpec:
         ):
             assert outcome(loads, text) == outcome(spec_loads, text), repr(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "universe -1\n0 1\n",
+            "universe -1\n0 " + "9" * 25 + "\n",
+            "universe 3\nvertices 9\n0 " + "9" * 25 + "\n",
+            "universe 3\nvertices 9\n0 1 # c\n5 1\n",
+            "universe 3\nvertices 0 1\n2 " + "9" * 25 + "\n",
+        ],
+    )
+    def test_first_of_several_errors_matches_spec(self, text):
+        assert outcome(loads, text) == outcome(spec_loads, text)
+
     def test_long_ids_read_as_python_ints(self):
         text = "universe 4\n0 1\n0 " + "9" * 25 + "\n"
         assert outcome(loads, text) == outcome(spec_loads, text)
@@ -279,6 +292,13 @@ class TestJsonRoundTrip:
             '{"universe": 3, "edges": [[0, null]]}',
             '{"universe": 3, "edges": [[0, "x"]]}',
             '{"universe": 3, "edges": [[0, 1]], "vertices": [0, 7]}',
+            # several errors: the first one the constructor checks wins
+            '{"universe": 3, "edges": [[]], "vertices": [9]}',
+            '{"universe": -1, "edges": [[]]}',
+            '{"universe": -1, "edges": [[0, "x"]]}',
+            '{"universe": 3, "edges": [[], [0, "x"]]}',
+            '{"universe": 3, "edges": [[0, 1e30]], "vertices": [9]}',
+            '{"universe": 3, "edges": [[0, 99999999999999999999999], [5]]}',
         ],
     )
     def test_matches_spec(self, text):
