@@ -114,9 +114,9 @@ def run_m03(
 ) -> dict[str, Any]:
     """Measure every request path; return the BENCH_m03 payload.
 
-    One warm server (in-process solves, 2 ms batch window) survives all
-    scenarios and samples, so socket setup and interpreter warmup are paid
-    once and the timed samples measure steady-state service throughput.
+    One warm server (in-process solves) survives all scenarios and
+    samples, so socket setup and interpreter warmup are paid once and the
+    timed samples measure steady-state service throughput.
     """
     instances = reference_instances()
     scenarios: dict[str, list[int]] = {}  # wall ns per timed sample
@@ -132,7 +132,6 @@ def run_m03(
         config = ServerConfig(
             socket_path=sock,
             workers=0,
-            batch_window_ms=2.0,
             max_batch=64,
             queue_limit=4 * requests,
             cache_size=4096,
@@ -221,7 +220,6 @@ def run_m03(
             "duplicates": duplicates,
             "connections": connections,
             "timed_samples": timed,
-            "batch_window_ms": 2.0,
         },
         "medians_ns": dict(sorted(medians.items())),
         "iqr_ns": dict(sorted(iqrs.items())),

@@ -128,8 +128,6 @@ def main(argv: list[str] | None = None) -> int:
                 "serve",
                 "--socket",
                 str(socket_path),
-                "--batch-window",
-                "10",
                 "--metrics-out",
                 str(metrics_path),
             ],

@@ -552,7 +552,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         http=http,
         workers=workers,
-        batch_window_ms=args.batch_window,
         max_batch=args.max_batch,
         queue_limit=args.queue_limit,
         cache_size=args.cache_size,
@@ -983,13 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="0",
         help="solve batches on N worker processes (0 = in-process, 'auto' = "
         "cpu count floored by the measured dispatch overhead in BENCH_m02.json)",
-    )
-    v.add_argument(
-        "--batch-window",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="micro-batch gathering window in milliseconds",
     )
     v.add_argument("--max-batch", type=int, default=32, help="max cells per batch")
     v.add_argument(

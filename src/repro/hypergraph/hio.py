@@ -13,12 +13,16 @@ Two formats:
 
   Each non-directive line is one edge (whitespace-separated vertex ids).
 
-* **JSON** — ``{"universe": n, "vertices": [...], "edges": [[...], ...]}``.
+* **JSON** — ``{"universe": n, "edges": [[...], ...], "vertices": [...]}``,
+  ``vertices`` optional (defaults to all).  :func:`to_obj` / :func:`from_obj`
+  are the object form the solve service ships inside its requests;
+  :func:`to_json` / :func:`from_json` wrap them in ``json``.
 
 Both round-trip through the canonical representation.  Both parsers build
 the CSR arrays directly (no tuple per edge) and hand them to
 :meth:`Hypergraph.from_arrays` with ``canonical=False``, whose check adopts
-already-canonical input — every file :func:`dump` writes — without a sort.
+already-canonical input — everything :func:`dump` and :func:`to_obj`
+write — without a sort.  Both writers read the store's arrays directly.
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import TextIO, Union
+from typing import Any, TextIO, Union
 
 import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 
-__all__ = ["dumps", "loads", "dump", "load", "to_json", "from_json"]
+__all__ = ["dumps", "loads", "dump", "load", "to_obj", "from_obj", "to_json", "from_json"]
 
 PathLike = Union[str, Path]
 
@@ -50,14 +54,20 @@ _OTHER_BREAKS = np.frombuffer(b"\r\x0b\x0c\x1c\x1d\x1e", dtype=np.uint8)
 _MAX_DIGITS = 18
 
 
+def _per_edge(H: Hypergraph, items: list) -> list[list]:
+    """*items*, one per stored vertex id, cut into one list per edge."""
+    bounds = H.store.indptr.tolist()
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def dumps(H: Hypergraph) -> str:
     """Serialise to the plain-text format."""
     lines = [f"universe {H.universe}"]
     verts = H.vertices
     if verts.size != H.universe:
-        lines.append("vertices " + " ".join(str(v) for v in verts.tolist()))
-    for e in H.edges:
-        lines.append(" ".join(str(v) for v in e))
+        lines.append("vertices " + " ".join(map(str, verts.tolist())))
+    ids = list(map(str, H.store.indices.tolist()))
+    lines.extend(" ".join(e) for e in _per_edge(H, ids))
     return "\n".join(lines) + "\n"
 
 
@@ -179,20 +189,25 @@ def load(fp: Union[TextIO, PathLike]) -> Hypergraph:
     return loads(fp.read())
 
 
-def to_json(H: Hypergraph) -> str:
-    """Serialise to a JSON string."""
-    return json.dumps(
-        {
-            "universe": H.universe,
-            "vertices": H.vertices.tolist(),
-            "edges": [list(e) for e in H.edges],
-        }
-    )
+def to_obj(H: Hypergraph) -> dict[str, Any]:
+    """The JSON object form: ``universe``, ``edges``, then ``vertices``
+    only when some vertex of the universe is inactive."""
+    obj: dict[str, Any] = {
+        "universe": H.universe,
+        "edges": _per_edge(H, H.store.indices.tolist()),
+    }
+    if H.vertices.size != H.universe:
+        obj["vertices"] = H.vertices.tolist()
+    return obj
 
 
-def from_json(text: str) -> Hypergraph:
-    """Parse the JSON format produced by :func:`to_json`."""
-    obj = json.loads(text)
+def from_obj(obj: Any) -> Hypergraph:
+    """Build the hypergraph of a JSON object form.
+
+    ``universe`` and ``edges`` are required (an edgeless instance has
+    ``"edges": []``), ``vertices`` is optional.  Ids are read with
+    ``int``, so ``"3"``, ``3.0`` and ``true`` are ids too.
+    """
     try:
         universe = int(obj["universe"])
         edges = obj["edges"]
@@ -208,3 +223,13 @@ def from_json(text: str) -> Hypergraph:
         # did, after its universe, vertex and empty-edge checks.
         return Hypergraph(universe, [tuple(e) for e in edges], vertices=vertices)
     return _from_parts(universe, vertices, sizes, ids)
+
+
+def to_json(H: Hypergraph) -> str:
+    """Serialise to a JSON string (:func:`to_obj`)."""
+    return json.dumps(to_obj(H))
+
+
+def from_json(text: str) -> Hypergraph:
+    """Parse the JSON format (:func:`from_obj`)."""
+    return from_obj(json.loads(text))

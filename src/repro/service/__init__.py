@@ -8,10 +8,11 @@ HTTP/1.1, and turns concurrent traffic into efficient batch execution:
   ``(content_hash, algorithm, seed)`` share one in-flight cell; one solve
   answers all of them with identical payloads
   (:mod:`repro.service.batching`).
-* **Micro-batching** — queued cells are dispatched together onto an
-  :class:`~repro.exec.aio.AsyncBatchExecutor` after a short gathering
-  window, amortising dispatch overhead exactly like inference-server
-  request batching (:mod:`repro.service.server`).
+* **Group-commit batching** — an idle server dispatches a request at
+  once; cells that queue while a batch runs on the
+  :class:`~repro.exec.aio.AsyncBatchExecutor` leave together as the next
+  batch, amortising dispatch overhead under load without a gathering
+  delay (:mod:`repro.service.server`).
 * **Result caching** — completed solves land in an LRU cache keyed by
   ``(content_hash, algorithm, seed)``; repeats are answered without
   touching the executor (:mod:`repro.service.cache`).

@@ -1,4 +1,4 @@
-"""Request coalescing, admission control and micro-batch assembly.
+"""Request coalescing, admission control and batch assembly.
 
 The service's throughput lever is the same one inference servers pull:
 don't solve per request, solve per *cell*.  A cell is the determinism
@@ -18,6 +18,10 @@ mechanisms:
   time :meth:`take_batch` drops expired waiters (they get an ``expired``
   response) and skips cells whose waiters *all* expired, so a stale
   backlog never wastes solver time.
+
+Batches form by group commit: :meth:`take_batch` returns as soon as
+anything is queued, and the server's dispatch loop awaits one batch at a
+time, so what queues while a batch runs is the next batch.
 
 Everything here runs on the server's event loop — single-threaded, so no
 locks; the asyncio primitives (one Event) exist only to let the dispatch
@@ -71,14 +75,10 @@ class PendingCell:
 
 
 class MicroBatcher:
-    """Coalescing admission queue with micro-batch windows.
+    """Coalescing admission queue that hands out group-commit batches.
 
     Parameters
     ----------
-    window_s:
-        How long :meth:`take_batch` keeps gathering after the first cell
-        arrives.  0 dispatches as soon as the queue is non-empty (lowest
-        latency, least batching).
     max_batch:
         Max cells per dispatched batch.
     max_pending:
@@ -87,12 +87,11 @@ class MicroBatcher:
         committed).
     """
 
-    def __init__(self, *, window_s: float = 0.002, max_batch: int = 32, max_pending: int = 256):
+    def __init__(self, *, max_batch: int = 32, max_pending: int = 256):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1: {max_batch}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1: {max_pending}")
-        self.window_s = max(0.0, float(window_s))
         self.max_batch = int(max_batch)
         self.max_pending = int(max_pending)
         #: Undispatched cells in arrival order (dict preserves insertion).
@@ -156,7 +155,8 @@ class MicroBatcher:
     async def take_batch(
         self, *, clock: Callable[[], float] = time.monotonic
     ) -> tuple[list[PendingCell], list[Waiter]]:
-        """Wait for work, gather one micro-batch, and move it in-flight.
+        """Wait for work, then move everything queued (up to ``max_batch``
+        cells) in-flight at once.
 
         Returns ``(cells, expired)``: cells to dispatch (each with at
         least one live waiter) and the waiters whose deadlines passed
@@ -165,8 +165,6 @@ class MicroBatcher:
         entirely (counted on ``service/cells_expired``).
         """
         await self._nonempty.wait()
-        if self.window_s > 0:
-            await asyncio.sleep(self.window_s)
         now = clock()
         cells: list[PendingCell] = []
         expired: list[Waiter] = []

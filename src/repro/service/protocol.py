@@ -11,7 +11,9 @@ Request (``op: "solve"``, the default)::
      "instance": {"universe": 9, "edges": [[0,1,2], [2,3]]},
      "deadline_ms": 250, "verify": true}
 
-``instance`` is either the JSON object form above or a string in the
+``instance`` is either the JSON object form above
+(:func:`repro.hypergraph.hio.to_obj`; ``vertices`` is sent only when some
+vertex of the universe is inactive) or a string in the
 :mod:`repro.hypergraph.hio` text format.  A client that already knows the
 server holds the instance (a previous request published it) sends
 ``content_hash`` instead — the dedup key of
@@ -41,7 +43,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from repro.hypergraph.hio import from_obj
 from repro.hypergraph.hio import loads as hio_loads
+from repro.hypergraph.hio import to_obj as encode_instance
 from repro.hypergraph.hypergraph import Hypergraph
 
 __all__ = [
@@ -105,35 +109,19 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
     return doc
 
 
-def encode_instance(H: Hypergraph) -> dict[str, Any]:
-    """The JSON object form of an instance (inverse of the decoder)."""
-    doc: dict[str, Any] = {
-        "universe": H.universe,
-        "edges": [list(e) for e in H.edges],
-    }
-    if H.vertices.size != H.universe:
-        doc["vertices"] = H.vertices.tolist()
-    return doc
-
-
 def _decode_instance(value: Any) -> Hypergraph:
     if isinstance(value, str):
-        try:
-            return hio_loads(value)
-        except ValueError as exc:
-            raise ProtocolError(f"bad instance text: {exc}") from exc
-    if isinstance(value, Mapping):
-        if "universe" not in value:
-            raise ProtocolError("instance object needs a 'universe' field")
-        try:
-            return Hypergraph(
-                int(value["universe"]),
-                [tuple(int(v) for v in e) for e in value.get("edges", ())],
-                vertices=value.get("vertices"),
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ProtocolError(f"bad instance object: {exc}") from exc
-    raise ProtocolError(f"instance must be an object or hio text, got {type(value).__name__}")
+        decode, form = hio_loads, "text"
+    elif isinstance(value, Mapping):
+        decode, form = from_obj, "object"
+    else:
+        raise ProtocolError(
+            f"instance must be an object or hio text, got {type(value).__name__}"
+        )
+    try:
+        return decode(value)
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise ProtocolError(f"bad instance {form}: {exc}") from exc
 
 
 def _require_type(doc: Mapping[str, Any], key: str, types: tuple, default: Any) -> Any:

@@ -12,7 +12,8 @@ loop)::
                 await waiter.future
                           ▲
       dispatch loop: take_batch → AsyncBatchExecutor.solve_batch
-                     (expired waiters answered without dispatch)
+                     (expired waiters answered without dispatch;
+                      what queues during a batch is the next batch)
 
 Instances are held once per content hash: the first request carrying an
 instance registers it (and, in pool mode, publishes it into the server's
@@ -56,7 +57,6 @@ from repro.core import (
 from repro.exec.aio import AsyncBatchExecutor
 from repro.exec.runner import Cell
 from repro.exec.shm import ShmArena
-from repro.exec.workers import bench_m02_path, parse_speedups
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import current_tracer
@@ -71,9 +71,11 @@ from repro.service.protocol import (
     ok_response,
     parse_solve_request,
 )
-from repro.util.hostid import CalibrationError, load_stamped
 
 __all__ = ["ServerConfig", "ServerThread", "SolveServer", "default_algorithms"]
+
+#: Request latencies kept for the p50/p99 liveness gauges (a ring buffer).
+LATENCY_WINDOW = 1024
 
 
 def default_algorithms() -> dict[str, Callable]:
@@ -101,13 +103,11 @@ class ServerConfig:
     socket_path: str | Path
     http: tuple[str, int] | None = None
     workers: int | None = None
-    batch_window_ms: float = 2.0
     max_batch: int = 32
     queue_limit: int = 256
     cache_size: int = 1024
     default_deadline_ms: float | None = None
     verify: bool = True
-    latency_window: int = 1024
     algorithms: dict[str, Callable] = field(default_factory=default_algorithms)
 
 
@@ -130,17 +130,13 @@ class SolveServer:
     def __init__(self, config: ServerConfig):
         self.config = config
         self._algorithms = dict(config.algorithms)
-        self._batcher = MicroBatcher(
-            window_s=config.batch_window_ms / 1000.0,
-            max_batch=config.max_batch,
-            max_pending=config.queue_limit,
-        )
+        self._batcher = MicroBatcher(max_batch=config.max_batch, max_pending=config.queue_limit)
         self._cache = ResultCache(config.cache_size)
         self._executor = AsyncBatchExecutor(config.workers)
         self._instances: dict[str, Hypergraph] = {}
         self._arena: ShmArena | None = ShmArena() if config.workers else None
         self._handles: dict[str, Any] = {}
-        self._latencies_ns: list[int] = []  # ring buffer, latency_window long
+        self._latencies_ns: list[int] = []  # ring buffer, LATENCY_WINDOW long
         self._latency_pos = 0
         self._last_batch_size = 0
         self._servers: list[asyncio.base_events.Server] = []
@@ -306,11 +302,11 @@ class SolveServer:
 
     def _finish_request(self, req: SolveRequest, response: Mapping[str, Any], t0: int) -> None:
         wall_ns = time.perf_counter_ns() - t0
-        if len(self._latencies_ns) < self.config.latency_window:
+        if len(self._latencies_ns) < LATENCY_WINDOW:
             self._latencies_ns.append(wall_ns)
         else:
             self._latencies_ns[self._latency_pos] = wall_ns
-            self._latency_pos = (self._latency_pos + 1) % self.config.latency_window
+            self._latency_pos = (self._latency_pos + 1) % LATENCY_WINDOW
         status = response.get("status", "error")
         obs_metrics.inc(f"service/responses_{status}")
         if status not in ("ok",):
@@ -330,6 +326,8 @@ class SolveServer:
 
     # -- dispatch loop ----------------------------------------------------
     async def _dispatch_loop(self) -> None:
+        # Group commit: one batch in flight at a time, so whatever queues
+        # while it runs leaves together as the next batch.
         while True:
             cells, expired = await self._batcher.take_batch()
             for waiter in expired:
@@ -535,15 +533,7 @@ class SolveServer:
         }
 
     def stats(self) -> dict[str, Any]:
-        """The ``stats`` op payload: counters, occupancy, dispatch context."""
-        try:
-            baseline = load_stamped(bench_m02_path(), parse_speedups, schema=None)
-            m02: dict[str, Any] = {
-                "best_speedup_vs_serial": max(baseline.table.values()),
-                "machine_id": baseline.machine_id,
-            }
-        except (OSError, CalibrationError) as exc:
-            m02 = {"error": f"{type(exc).__name__}: {exc}"}
+        """The ``stats`` op payload: counters, cache and queue occupancy."""
         return {
             "uptime_s": round(time.monotonic() - self._t_start, 3),
             "workers": self._executor.workers,
@@ -565,12 +555,10 @@ class SolveServer:
                 "limit": self.config.queue_limit,
             },
             "batch": {
-                "window_ms": self.config.batch_window_ms,
                 "max_batch": self.config.max_batch,
                 "last_size": self._last_batch_size,
             },
             "gauges": self.liveness_gauges(),
-            "bench_m02": m02,
         }
 
 

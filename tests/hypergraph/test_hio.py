@@ -3,6 +3,8 @@
 ``spec_loads`` / ``spec_from_json`` are the tuple-per-edge parsers the
 array-native ones replaced; they are the specification the differential
 tests hold :func:`loads` and :func:`from_json` to, errors included.
+``spec_dumps`` is the tuple-per-edge writer :func:`dumps` must match byte
+for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +19,16 @@ from hypothesis import strategies as st
 
 from repro.generators import mixed_dimension_hypergraph, uniform_hypergraph
 from repro.hypergraph import Hypergraph
-from repro.hypergraph.hio import dump, dumps, from_json, load, loads, to_json
+from repro.hypergraph.hio import (
+    dump,
+    dumps,
+    from_json,
+    from_obj,
+    load,
+    loads,
+    to_json,
+    to_obj,
+)
 
 
 def spec_loads(text: str) -> Hypergraph:
@@ -55,6 +66,31 @@ def spec_from_json(text: str) -> Hypergraph:
         )
     except KeyError as exc:
         raise ValueError(f"missing JSON field: {exc}") from exc
+
+
+def spec_dumps(H: Hypergraph) -> str:
+    lines = [f"universe {H.universe}"]
+    verts = H.vertices
+    if verts.size != H.universe:
+        lines.append("vertices " + " ".join(str(v) for v in verts.tolist()))
+    for e in H.edges:
+        lines.append(" ".join(str(v) for v in e))
+    return "\n".join(lines) + "\n"
+
+
+def random_instance(rng: np.random.Generator) -> Hypergraph:
+    """Mixed edge sizes over a dense or sparse id range, with all or some
+    of the universe active."""
+    universe = int(rng.choice([1, 8, 40, 10**6]))
+    pool = np.unique(rng.integers(0, universe, size=int(rng.integers(1, 40))))
+    edges = [
+        rng.choice(pool, size=int(rng.integers(1, min(6, pool.size) + 1)), replace=False)
+        for _ in range(int(rng.integers(0, 30)))
+    ]
+    vertices = None
+    if rng.random() < 0.5:
+        vertices = np.union1d(pool, rng.integers(0, universe, size=5))
+    return Hypergraph(universe, edges, vertices=vertices)
 
 
 def outcome(parse, text):
@@ -210,6 +246,27 @@ class TestErrorMessages:
     def test_vertex_directive_outside_universe(self):
         with pytest.raises(IndexError, match=r"^vertex outside universe$"):
             loads("universe 4\nvertices 0 9\n")
+
+
+class TestWriters:
+    def test_dumps_matches_spec(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            H = random_instance(rng)
+            assert dumps(H) == spec_dumps(H)
+        for H in (Hypergraph(0), Hypergraph(3, vertices=[]), Hypergraph(5, [(4,)])):
+            assert dumps(H) == spec_dumps(H)
+
+    def test_obj_round_trip_and_key_order(self):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            H = random_instance(rng)
+            obj = to_obj(H)
+            assert obj["edges"] == [list(e) for e in H.edges]
+            partial = H.vertices.size != H.universe
+            assert list(obj) == ["universe", "edges"] + ["vertices"] * partial
+            assert from_obj(obj) == H
+            assert to_json(H) == json.dumps(obj)
 
 
 class TestTextRoundTrip:

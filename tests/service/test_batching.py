@@ -26,7 +26,7 @@ def _run(coro):
 class TestSubmit:
     def test_first_submit_builds_work_once(self):
         async def main():
-            batcher = MicroBatcher(window_s=0)
+            batcher = MicroBatcher()
             built = []
             coalesced = batcher.submit(("h", "bl", 0), _waiter("a"), lambda: built.append(1))
             assert coalesced is False
@@ -39,7 +39,7 @@ class TestSubmit:
     def test_duplicate_coalesces_without_new_work(self):
         async def main():
             with metrics.isolated_registry() as registry:
-                batcher = MicroBatcher(window_s=0)
+                batcher = MicroBatcher()
                 built = []
                 key = ("h", "bl", 0)
                 batcher.submit(key, _waiter("a"), lambda: built.append(1) or "work")
@@ -56,7 +56,7 @@ class TestSubmit:
 
     def test_distinct_keys_do_not_coalesce(self):
         async def main():
-            batcher = MicroBatcher(window_s=0)
+            batcher = MicroBatcher()
             batcher.submit(("h", "bl", 0), _waiter(), lambda: "w0")
             batcher.submit(("h", "bl", 1), _waiter(), lambda: "w1")
             batcher.submit(("g", "bl", 0), _waiter(), lambda: "w2")
@@ -66,7 +66,7 @@ class TestSubmit:
 
     def test_inflight_cell_still_coalesces(self):
         async def main():
-            batcher = MicroBatcher(window_s=0)
+            batcher = MicroBatcher()
             key = ("h", "bl", 0)
             batcher.submit(key, _waiter("a"), lambda: "work")
             cells, _ = await batcher.take_batch()
@@ -86,7 +86,7 @@ class TestAdmission:
     def test_queue_full_past_bound(self):
         async def main():
             with metrics.isolated_registry() as registry:
-                batcher = MicroBatcher(window_s=0, max_pending=2)
+                batcher = MicroBatcher(max_pending=2)
                 batcher.submit(("h", "bl", 0), _waiter(), lambda: "w")
                 batcher.submit(("h", "bl", 1), _waiter(), lambda: "w")
                 with pytest.raises(QueueFull, match="limit 2"):
@@ -100,7 +100,7 @@ class TestAdmission:
 
     def test_coalescing_bypasses_the_bound(self):
         async def main():
-            batcher = MicroBatcher(window_s=0, max_pending=1)
+            batcher = MicroBatcher(max_pending=1)
             key = ("h", "bl", 0)
             batcher.submit(key, _waiter(), lambda: "w")
             # a duplicate of a queued cell is absorbed even at the bound
@@ -111,13 +111,13 @@ class TestAdmission:
     @pytest.mark.parametrize("kwargs", [{"max_batch": 0}, {"max_pending": 0}])
     def test_bad_bounds_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            MicroBatcher(window_s=0, **kwargs)
+            MicroBatcher(**kwargs)
 
 
 class TestTakeBatch:
     def test_moves_cells_inflight(self):
         async def main():
-            batcher = MicroBatcher(window_s=0)
+            batcher = MicroBatcher()
             batcher.submit(("h", "bl", 0), _waiter(), lambda: "w0")
             batcher.submit(("h", "bl", 1), _waiter(), lambda: "w1")
             cells, expired = await batcher.take_batch()
@@ -131,7 +131,7 @@ class TestTakeBatch:
 
     def test_max_batch_leaves_remainder_queued(self):
         async def main():
-            batcher = MicroBatcher(window_s=0, max_batch=2)
+            batcher = MicroBatcher(max_batch=2)
             for seed in range(5):
                 batcher.submit(("h", "bl", seed), _waiter(), lambda: "w")
             first, _ = await batcher.take_batch()
@@ -146,7 +146,7 @@ class TestTakeBatch:
 
     def test_waits_for_work(self):
         async def main():
-            batcher = MicroBatcher(window_s=0)
+            batcher = MicroBatcher()
             take = asyncio.create_task(batcher.take_batch())
             await asyncio.sleep(0.01)
             assert not take.done()
@@ -161,7 +161,7 @@ class TestDeadlines:
     def test_expired_waiters_returned_not_dispatched(self):
         async def main():
             with metrics.isolated_registry() as registry:
-                batcher = MicroBatcher(window_s=0)
+                batcher = MicroBatcher()
                 key = ("h", "bl", 0)
                 batcher.submit(key, _waiter("live", expires_at=100.0), lambda: "w")
                 batcher.submit(key, _waiter("stale", expires_at=1.0), lambda: "w")
@@ -177,7 +177,7 @@ class TestDeadlines:
     def test_all_expired_cell_is_dropped(self):
         async def main():
             with metrics.isolated_registry() as registry:
-                batcher = MicroBatcher(window_s=0)
+                batcher = MicroBatcher()
                 batcher.submit(("h", "bl", 0), _waiter("s1", expires_at=1.0), lambda: "w")
                 batcher.submit(("h", "bl", 1), _waiter("ok", expires_at=None), lambda: "w")
                 cells, expired = await batcher.take_batch(clock=lambda: 50.0)
@@ -192,7 +192,7 @@ class TestDeadlines:
 
     def test_no_deadline_never_expires(self):
         async def main():
-            batcher = MicroBatcher(window_s=0)
+            batcher = MicroBatcher()
             batcher.submit(("h", "bl", 0), _waiter(expires_at=None), lambda: "w")
             cells, expired = await batcher.take_batch(clock=lambda: 1e12)
             assert len(cells) == 1 and expired == []

@@ -4,20 +4,29 @@ Every test hosts a real server on a background thread (:class:`ServerThread`)
 and talks to it over the unix socket — the same transport production
 clients use.  Concurrency (for the coalescing and admission tests) comes
 from :func:`run_load`, which pipelines requests across connections.
+
+The server dispatches a request as soon as its executor is free, so tests
+that need requests to wait in the queue first occupy the executor with a
+:class:`_Held` solve and open it once the server has taken every request.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import http.client
 import json
 import socket
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core import beame_luby, greedy_mis
 from repro.generators import uniform_hypergraph
 from repro.hypergraph.hio import dump as hio_dump
+from repro.obs import metrics
 from repro.service import (
     ServerConfig,
     ServerThread,
@@ -36,10 +45,78 @@ def _boom(H, seed, machine=None, **options):
     raise RuntimeError("boom")
 
 
+class _Held:
+    """A served 'solver' that blocks until :meth:`release`.
+
+    While it runs the executor is busy: requests that arrive meanwhile
+    queue (or coalesce onto its cell) and leave as the next batch.  Once
+    released it solves as :func:`beame_luby`, or with ``fail=True`` raises,
+    so that it adds no solved cell.
+    """
+
+    def __init__(self, *, fail: bool = False):
+        self.fail = fail
+        self._gate = threading.Event()
+
+    def release(self) -> None:
+        self._gate.set()
+
+    def __call__(self, H, seed, machine=None, **options):
+        if not self._gate.wait(30):
+            raise TimeoutError("held solve was never released")
+        if self.fail:
+            raise RuntimeError("held solve failed on purpose")
+        return beame_luby(H, seed, machine=machine, **options)
+
+
 def _config(tmp_path, **over) -> ServerConfig:
-    defaults = dict(socket_path=tmp_path / "repro.sock", batch_window_ms=5.0)
+    defaults = dict(socket_path=tmp_path / "repro.sock")
     defaults.update(over)
     return ServerConfig(**defaults)
+
+
+def _held_config(tmp_path, held: _Held, **over) -> ServerConfig:
+    algorithms = {"bl": beame_luby, "greedy": greedy_mis, "boom": _boom, "held": held}
+    return _config(tmp_path, algorithms=algorithms, **over)
+
+
+@contextlib.contextmanager
+def _serving(config: ServerConfig, held: _Held):
+    """A live server, a client and a thread pool; *held* is released on exit."""
+    with ServerThread(config) as handle, ThreadPoolExecutor(4) as pool:
+        try:
+            with SolveClient(config.socket_path) as client:
+                yield handle, client, pool
+        finally:
+            held.release()
+
+
+def _wait_for(client: SolveClient, ready, timeout: float = 10.0) -> dict:
+    """Poll the server's stats until ``ready(stats)`` holds; return them."""
+    deadline = time.monotonic() + timeout
+    while not ready(stats := client.stats()):
+        assert time.monotonic() < deadline, f"server never got there: {stats}"
+        time.sleep(0.002)
+    return stats
+
+
+def _request(socket_path, doc) -> dict:
+    with SolveClient(socket_path) as client:
+        return client.request(doc)
+
+
+def _hold(client: SolveClient, pool, socket_path):
+    """Put a held solve in flight (on ``_H2``); returns its response future."""
+    future = pool.submit(_request, socket_path, _solve_doc(_H2, "held", 0, req_id="held"))
+    _wait_for(client, lambda s: s["queue"]["inflight_cells"] == 1 and s["queue"]["depth"] == 0)
+    return future
+
+
+def _load(pool, socket_path, docs, connections: int):
+    """Run :func:`run_load` on a pool thread; returns the report future."""
+    return pool.submit(
+        lambda: asyncio.run(run_load(socket_path, docs, connections=connections))
+    )
 
 
 def _solve_doc(H, algorithm="bl", seed=0, req_id=None, **extra):
@@ -52,13 +129,17 @@ def _solve_doc(H, algorithm="bl", seed=0, req_id=None, **extra):
 
 class TestCoalescing:
     def test_concurrent_duplicates_cost_one_solve(self, tmp_path):
-        # A generous window so all eight duplicates land in one cell.
-        config = _config(tmp_path, batch_window_ms=60.0)
-        docs = [_solve_doc(_H1, "bl", 3, req_id=f"r{i}") for i in range(8)]
-        with ServerThread(config) as handle:
-            report = asyncio.run(run_load(config.socket_path, docs, connections=8))
-            with SolveClient(config.socket_path) as client:
-                stats = client.stats()
+        # The first duplicate's solve is held, so the other seven arrive
+        # while its cell is queued or in flight and attach to it.
+        held = _Held()
+        config = _held_config(tmp_path, held)
+        docs = [_solve_doc(_H1, "held", 3, req_id=f"r{i}") for i in range(8)]
+        with _serving(config, held) as (handle, client, pool):
+            load = _load(pool, config.socket_path, docs, connections=8)
+            _wait_for(client, lambda s: s["requests"] == 8)
+            held.release()
+            report = load.result(timeout=30)
+            stats = client.stats()
         assert report.ok == 8 and report.errors == 0
         assert report.coalesced == 7  # all but the cell-creating request
         assert stats["solved_cells"] == 1
@@ -117,50 +198,115 @@ class TestCacheEviction:
 
 class TestOverload:
     def test_deadline_expires_before_dispatch(self, tmp_path):
-        # The batch window dwarfs the deadline, so the request must be
-        # answered 'expired' without ever reaching a solver.
-        config = _config(tmp_path, batch_window_ms=300.0)
-        with ServerThread(config):
-            with SolveClient(config.socket_path) as client:
-                with pytest.raises(ServiceError) as excinfo:
-                    client.solve(_H1, algorithm="bl", seed=0, deadline_ms=25)
-                stats = client.stats()
+        # A held (and then failing) solve keeps the executor busy past the
+        # deadline, so the request must be answered 'expired' without ever
+        # reaching a solver.
+        held = _Held(fail=True)
+        config = _held_config(tmp_path, held)
+
+        def solve_late():
+            with SolveClient(config.socket_path) as late:
+                return late.solve(_H1, algorithm="bl", seed=0, deadline_ms=25)
+
+        with _serving(config, held) as (_, client, pool):
+            holder = _hold(client, pool, config.socket_path)
+            answer = pool.submit(solve_late)
+            _wait_for(client, lambda s: s["queue"]["depth"] == 1)
+            time.sleep(0.05)  # past the deadline, still queued
+            held.release()
+            with pytest.raises(ServiceError) as excinfo:
+                answer.result(timeout=30)
+            assert holder.result(timeout=30)["status"] == "error"
+            stats = client.stats()
         assert excinfo.value.status == "expired"
         assert stats["solved_cells"] == 0
 
     def test_admission_rejects_past_queue_limit(self, tmp_path):
-        config = _config(tmp_path, batch_window_ms=300.0, queue_limit=1)
+        held = _Held()
+        config = _held_config(tmp_path, held, queue_limit=1)
         docs = [_solve_doc(_H1, "bl", seed, req_id=f"q{seed}") for seed in range(4)]
-        with ServerThread(config):
-            report = asyncio.run(run_load(config.socket_path, docs, connections=4))
+        with _serving(config, held) as (_, client, pool):
+            holder = _hold(client, pool, config.socket_path)
+            load = _load(pool, config.socket_path, docs, connections=4)
+            _wait_for(client, lambda s: s["requests"] == 5)
+            held.release()
+            report = load.result(timeout=30)
+            assert holder.result(timeout=30)["status"] == "ok"
         assert report.ok >= 1
         assert report.rejected >= 1
         assert report.ok + report.rejected == 4
+        assert report.rejected == 3  # one queued behind the held solve
         rejected = [r for r in report.responses if r["status"] == "rejected"]
         assert all(r.get("retry") is True for r in rejected)
 
     def test_duplicates_coalesce_even_at_the_bound(self, tmp_path):
-        config = _config(tmp_path, batch_window_ms=120.0, queue_limit=1)
+        held = _Held()
+        config = _held_config(tmp_path, held, queue_limit=1)
         docs = [_solve_doc(_H1, "bl", 5, req_id=f"d{i}") for i in range(4)]
-        with ServerThread(config):
-            report = asyncio.run(run_load(config.socket_path, docs, connections=4))
+        with _serving(config, held) as (_, client, pool):
+            holder = _hold(client, pool, config.socket_path)
+            load = _load(pool, config.socket_path, docs, connections=4)
+            _wait_for(client, lambda s: s["requests"] == 5)
+            held.release()
+            report = load.result(timeout=30)
+            assert holder.result(timeout=30)["status"] == "ok"
         assert report.ok == 4 and report.rejected == 0
         assert report.coalesced == 3
 
 
+class TestGroupCommit:
+    def test_requests_queued_behind_a_batch_leave_as_one_batch(self, tmp_path):
+        held = _Held()
+        config = _held_config(tmp_path, held)
+        docs = [_solve_doc(_H1, "bl", seed, req_id=f"n{seed}") for seed in range(6)]
+        with metrics.isolated_registry() as registry:
+            with _serving(config, held) as (_, client, pool):
+                holder = _hold(client, pool, config.socket_path)
+                load = _load(pool, config.socket_path, docs, connections=6)
+                _wait_for(client, lambda s: s["queue"]["depth"] == 6)
+                held.release()
+                report = load.result(timeout=30)
+                assert holder.result(timeout=30)["status"] == "ok"
+                stats = client.stats()
+            counters = registry.snapshot()["counters"]
+        assert report.ok == 6
+        assert counters["service/batches"] == 2
+        assert counters["service/batched_cells"] == 7
+        assert stats["batch"]["last_size"] == 6
+
+    def test_lone_request_is_dispatched_at_once(self, tmp_path):
+        # An idle server does not wait for company: the answer is back
+        # long before a 300 ms gathering window would even have closed.
+        config = _config(tmp_path)
+        with ServerThread(config):
+            with SolveClient(config.socket_path) as client:
+                assert client.ping() is True
+                t0 = time.perf_counter()
+                response = client.solve(_H2, algorithm="greedy", seed=0)
+                elapsed = time.perf_counter() - t0
+        assert response["cached"] is False
+        assert elapsed < 0.3
+
+
 class TestFailureIsolation:
     def test_crashing_solver_fails_only_its_request(self, tmp_path):
-        algorithms = {"bl": beame_luby, "greedy": greedy_mis, "boom": _boom}
-        config = _config(tmp_path, batch_window_ms=60.0, algorithms=algorithms)
+        # Both requests queue behind a held solve, so they share a batch.
+        held = _Held()
+        config = _held_config(tmp_path, held)
         docs = [
             _solve_doc(_H1, "boom", 0, req_id="bad"),
             _solve_doc(_H1, "bl", 0, req_id="good"),
         ]
-        with ServerThread(config):
-            report = asyncio.run(run_load(config.socket_path, docs, connections=2))
+        with _serving(config, held) as (_, client, pool):
+            holder = _hold(client, pool, config.socket_path)
+            load = _load(pool, config.socket_path, docs, connections=2)
+            _wait_for(client, lambda s: s["queue"]["depth"] == 2)
+            held.release()
+            report = load.result(timeout=30)
+            assert holder.result(timeout=30)["status"] == "ok"
+            assert client.stats()["batch"]["last_size"] == 2
             # the server survives the failed cell and keeps solving
-            with SolveClient(config.socket_path) as client:
-                after = client.solve(_H1, algorithm="bl", seed=1)
+            after = client.solve(_H1, algorithm="bl", seed=1)
         assert report.ok == 1 and report.errors == 1
         failed = next(r for r in report.responses if r["status"] == "error")
         assert failed["id"] == "bad"
@@ -202,8 +348,7 @@ class TestProtocolSurface:
                 stats = client.stats()
         assert bad_algo.value.status == "bad_request"
         assert stats["requests"] >= 3
-        assert {"cache", "queue", "batch", "gauges", "bench_m02"} <= stats.keys()
-        assert stats["bench_m02"].get("best_speedup_vs_serial") is not None
+        assert {"cache", "queue", "batch", "gauges"} <= stats.keys()
 
     def test_gauges_present_in_stats(self, tmp_path):
         config = _config(tmp_path)
