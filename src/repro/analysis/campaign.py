@@ -24,7 +24,6 @@ Example
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TextIO, Union
@@ -33,8 +32,6 @@ import numpy as np
 
 from repro.core.result import MISResult
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.validate import check_mis
-from repro.pram.machine import CountingMachine
 from repro.util.rng import SeedLike, spawn_seeds
 
 __all__ = ["InstanceSpec", "AlgorithmSpec", "RunRecord", "Campaign", "write_csv"]
@@ -60,10 +57,6 @@ class AlgorithmSpec:
     name: str
     fn: Callable[..., MISResult]
     options: Mapping[str, Any] = field(default_factory=dict)
-
-    def run(self, H: Hypergraph, seed: SeedLike, machine: CountingMachine) -> MISResult:
-        """Execute on one instance."""
-        return self.fn(H, seed, machine=machine, **self.options)
 
 
 @dataclass(frozen=True)
@@ -129,31 +122,30 @@ class Campaign:
             every execution mode — so the records are **bit-identical**
             whether the grid runs serially or on any number of workers.
         parallel:
-            ``None`` (default) runs in-process.  An ``int`` runs the grid
-            on that many worker processes via
+            ``None`` or ``0`` (default) runs in-process.  A positive
+            ``int`` runs the grid on that many worker processes via
             :class:`repro.exec.ParallelRunner` (instances travel through
             shared memory, one block per distinct instance).  An existing
             ``ParallelRunner`` is borrowed, letting several campaigns
-            share one warm pool.
+            share one warm pool.  Every mode runs the same cell body.
         """
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1: {self.repeats}")
         if not self.instances or not self.algorithms:
             raise ValueError("campaign needs at least one instance and one algorithm")
-        if parallel is None:
-            return self._run_serial(seed)
         from repro.exec import ParallelRunner
 
         if isinstance(parallel, ParallelRunner):
-            return self._run_parallel(seed, parallel)
-        with ParallelRunner(int(parallel)) as runner:
-            return self._run_parallel(seed, runner)
+            return self._run(seed, parallel)
+        with ParallelRunner(parallel) as runner:
+            return self._run(seed, runner)
 
     def _grid(self, seed: SeedLike):
         """Yield one ``(ispec, H, aspec, rep, cell_seed)`` tuple per run.
 
-        The single source of the seed-tree shape: both execution modes
-        iterate this generator, which is what makes their records agree.
+        The single source of the seed-tree shape: every execution mode
+        runs the cells built from it, which is what makes their records
+        agree.
         """
         inst_seeds = spawn_seeds((seed, "instances"), len(self.instances))
         for ispec, iseed in zip(self.instances, inst_seeds):
@@ -167,41 +159,7 @@ class Campaign:
                     yield ispec, H, aspec, rep, algo_seeds[si]
                     si += 1
 
-    def _run_serial(self, seed: SeedLike) -> list[RunRecord]:
-        from repro.obs.metrics import default_registry
-
-        # Maintain the same progress counters the parallel runner keeps, so
-        # a heartbeat reports liveness identically in both execution modes.
-        registry = default_registry()
-        total = len(self.instances) * len(self.algorithms) * self.repeats
-        registry.counter("exec/cells_scheduled").inc(total)
-        registry.gauge("exec/workers").set(1)
-        records: list[RunRecord] = []
-        for ispec, H, aspec, rep, cell_seed in self._grid(seed):
-            machine = CountingMachine()
-            t0 = time.perf_counter_ns()
-            res = aspec.run(H, cell_seed, machine)
-            registry.counter("exec/cell_wall_ns").inc(time.perf_counter_ns() - t0)
-            registry.counter("exec/cells_done").inc()
-            if self.verify:
-                check_mis(H, res.independent_set)
-            records.append(
-                RunRecord(
-                    instance=ispec.name,
-                    algorithm=aspec.name,
-                    repeat=rep,
-                    n=H.num_vertices,
-                    m=H.num_edges,
-                    dimension=H.dimension,
-                    mis_size=res.size,
-                    rounds=res.num_rounds,
-                    depth=machine.depth,
-                    work=machine.work,
-                )
-            )
-        return records
-
-    def _run_parallel(self, seed: SeedLike, runner: Any) -> list[RunRecord]:
+    def _run(self, seed: SeedLike, runner: Any) -> list[RunRecord]:
         from repro.exec import Cell
 
         cells = []

@@ -123,41 +123,18 @@ def _solver_trials(H, fn, seeds, *, options=None, verify=True):
 
     The repeated-trial primitive of the experiment runners.  Outcomes are
     :class:`repro.exec.CellResult` objects (``num_rounds``, ``mis_size``,
-    ``meta``, ``independent_set``) in seed order.  When an ambient
-    :func:`repro.exec.use_runner` block is active the trials fan out over
-    its worker pool; otherwise they run in-process.  Either way each trial
-    consumes exactly its own seed, so the outcomes are identical.
+    ``depth``, ``work``, ``meta``, ``independent_set``) in seed order.
+    When an ambient :func:`repro.exec.use_runner` block is active the
+    trials fan out over its worker pool; otherwise they run in-process on
+    ``ParallelRunner(0)``.  Either way each trial consumes exactly its own
+    seed in the same cell body, so the outcomes are identical.
     """
-    from repro.exec import Cell, CellResult, current_runner
+    from repro.exec import Cell, ParallelRunner, current_runner
 
     opts = dict(options or {})
-    runner = current_runner()
-    if runner is not None:
-        cells = [
-            Cell(instance=H, fn=fn, seed=s, options=opts, verify=verify)
-            for s in seeds
-        ]
-        return runner.run_cells(cells)
-    out = []
-    for i, s in enumerate(seeds):
-        res = fn(H, s, **opts)
-        if verify:
-            check_mis(H, res.independent_set)
-        out.append(
-            CellResult(
-                index=i,
-                label="",
-                mis_size=res.size,
-                num_rounds=res.num_rounds,
-                depth=res.machine.get("depth", 0) if res.machine else 0,
-                work=res.machine.get("work", 0) if res.machine else 0,
-                wall_ns=0,
-                independent_set=res.independent_set,
-                machine=dict(res.machine) if res.machine else {},
-                meta=res.meta,
-            )
-        )
-    return out
+    cells = [Cell(instance=H, fn=fn, seed=s, options=opts, verify=verify) for s in seeds]
+    with ParallelRunner(0) as in_process:
+        return (current_runner() or in_process).run_cells(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,12 +1065,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id (``"E1"`` … ``"E18"``).
 
-    With ``workers`` set, an ambient :class:`repro.exec.ParallelRunner`
-    is installed for the duration, so runners built on the
-    ``_solver_trials`` primitive fan their repeated trials out across
-    worker processes.  Results are identical to ``workers=None`` — the
-    trial seeds are derived before dispatch and consumed one-per-trial in
-    both modes.
+    An ambient :class:`repro.exec.ParallelRunner` with ``workers``
+    processes (``None``/``0`` = in-process) is installed for the
+    duration, so runners built on the ``_solver_trials`` primitive fan
+    their repeated trials out across worker processes.  Results are
+    identical for every worker count — the trial seeds are derived before
+    dispatch and consumed one-per-trial in the same cell body.
     """
     try:
         fn = EXPERIMENTS[experiment_id.upper()]
@@ -1101,9 +1078,7 @@ def run_experiment(
         raise ValueError(
             f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-    if workers is None:
-        return fn(scale=scale, seed=seed)
     from repro.exec import ParallelRunner, use_runner
 
-    with ParallelRunner(int(workers)) as runner, use_runner(runner):
+    with ParallelRunner(workers) as runner, use_runner(runner):
         return fn(scale=scale, seed=seed)

@@ -38,13 +38,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from repro.core.greedy import greedy_mis
 from repro.core.result import RoundRecord
 from repro.dynamic.costmodel import decide_strategy
-from repro.hypergraph.components import component_labels
+from repro.hypergraph.components import component_labels, incidence_labels
 from repro.hypergraph.edgestore import EdgeStore
 from repro.hypergraph.hypergraph import EdgeLike, Hypergraph
 from repro.hypergraph.updates import UpdateResult, apply_updates
@@ -62,22 +60,14 @@ def _local_labels(cand: np.ndarray, sub_store) -> np.ndarray:
     """Connected-component labels of the *compacted* candidate region.
 
     ``cand`` (sorted vertex ids) and ``sub_store`` (the edges lying inside
-    it) are remapped to ``0..k-1`` before the bipartite CC pass, so the
+    it) are remapped to ``0..k-1`` before the vertex–edge CC pass, so the
     cost is proportional to the candidate region — not the instance.
     Label values are arbitrary but distinct per component.
     """
-    k = cand.size
-    ms = sub_store.num_edges
-    if not ms:
-        return np.arange(k, dtype=np.intp)
-    rows = np.searchsorted(cand, sub_store.indices)
-    cols = k + np.repeat(np.arange(ms, dtype=np.intp), sub_store.sizes())
-    n_nodes = k + ms
-    graph = sp.coo_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n_nodes, n_nodes)
-    )
-    _, raw = csgraph.connected_components(graph, directed=False)
-    return raw[:k].astype(np.intp)
+    if not sub_store.num_edges:
+        return np.arange(cand.size, dtype=np.intp)
+    local = np.searchsorted(cand, sub_store.indices)
+    return incidence_labels(cand.size, sub_store.indptr, local).astype(np.intp)
 
 
 def _take_edges(store: EdgeStore, rows: np.ndarray) -> EdgeStore:

@@ -1,24 +1,23 @@
 """Awaitable batch execution for the solve service.
 
 The asyncio front door (:mod:`repro.service.server`) must never block its
-event loop on a solve: :class:`AsyncBatchExecutor` wraps the blocking
-execution paths — the in-process serial loop and
-:class:`~repro.exec.runner.ParallelRunner` — behind one awaitable call,
-run on a worker thread via :func:`asyncio.to_thread`.
+event loop on a solve: :class:`AsyncBatchExecutor` runs
+:meth:`~repro.exec.runner.ParallelRunner.cell_outcomes` on a worker
+thread via :func:`asyncio.to_thread`.  It always owns a runner:
+``workers=0`` runs the batch in this process, ``workers=N`` over N
+worker processes, through the same cell body either way.
 
-Failure isolation is the second job.  ``ParallelRunner.run_cells``
-propagates a worker crash (``BrokenProcessPool``) for the *whole* batch;
-a service must not let one poisoned request take down every concurrent
-caller.  ``solve_batch`` therefore returns one :class:`CellOutcome` per
-cell — result or error, never an exception — with these guarantees:
+Failure isolation is the second job: a service must not let one poisoned
+request take down every concurrent caller.  ``solve_batch`` therefore
+returns one :class:`CellOutcome` per cell — result or error, never an
+exception — with these guarantees in both modes:
 
-* **in-process mode** (``workers=None``): each cell solves under its own
-  ``try``, so a crashing solver fails only its own outcome;
-* **pool mode** (``workers=N``): a worker crash fails every outcome of
-  the *current* batch (their results are unrecoverable) and the pool is
-  rebuilt before returning, so the next batch dispatches normally.
+* a cell whose solver or verifier raises fails only its own outcome;
+* a worker crash (``BrokenProcessPool``, pool mode) fails every outcome
+  of the *current* batch (their results are unrecoverable) and the pool
+  is rebuilt before returning, so the next batch dispatches normally.
 
-Batches are executed one at a time by design — the service's micro-batch
+Batches are executed one at a time by design — the service's dispatch
 loop is the pacing mechanism, and a single in-flight batch keeps the
 shared tracer's span stack coherent (spans open/close from one dispatch
 thread at a time).
@@ -27,19 +26,12 @@ thread at a time).
 from __future__ import annotations
 
 import asyncio
-import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.exec import shm
 from repro.exec.runner import Cell, CellResult, ParallelRunner
-from repro.exec.shm import InstanceHandle
-from repro.hypergraph.hypergraph import Hypergraph
 from repro.obs import metrics as obs_metrics
-from repro.obs.metrics import default_registry
-from repro.obs.tracer import current_tracer
-from repro.pram.machine import CountingMachine
 
 __all__ = ["AsyncBatchExecutor", "CellOutcome"]
 
@@ -57,128 +49,44 @@ class CellOutcome:
         return self.error is None
 
 
-def _solve_cell_inline(index: int, cell: Cell) -> CellResult:
-    """Run one cell in this process (the ``workers=None`` execution body).
-
-    Mirrors the worker-side ``_run_cell`` — same solver call shape, same
-    verification — minus pickling and telemetry shipping, so results are
-    bit-identical to both the pool path and a direct solver call with the
-    same seed.
-    """
-    instance = cell.instance
-    H = shm.attach(instance) if isinstance(instance, InstanceHandle) else instance
-    assert isinstance(H, Hypergraph)
-    machine = CountingMachine()
-    t0 = time.perf_counter_ns()
-    res = cell.fn(H, cell.seed, machine=machine, **cell.options)
-    wall_ns = time.perf_counter_ns() - t0
-    if cell.verify:
-        res.verify(H)
-    machine_summary = (
-        dict(res.machine)
-        if res.machine is not None
-        else {
-            "depth": machine.depth,
-            "work": machine.work,
-            "max_processors": machine.max_processors,
-        }
-    )
-    return CellResult(
-        index=index,
-        label=cell.label,
-        mis_size=res.size,
-        num_rounds=res.num_rounds,
-        depth=int(machine_summary.get("depth", 0)),
-        work=int(machine_summary.get("work", 0)),
-        wall_ns=wall_ns,
-        independent_set=res.independent_set,
-        machine=machine_summary,
-        meta=res.meta,
-        rounds=None,
-    )
-
-
 class AsyncBatchExecutor:
     """Await batches of solver cells without blocking the event loop.
 
     Parameters
     ----------
     workers:
-        ``None``/``0`` solves in-process (per-cell failure isolation,
-        no IPC); a positive count owns a :class:`ParallelRunner` with
-        that many worker processes (shared-memory instance transfer,
-        telemetry splice — everything ``run_cells`` provides).
+        ``None``/``0`` solves in-process; a positive count runs a
+        :class:`ParallelRunner` with that many worker processes
+        (shared-memory instance transfer, telemetry splice — everything
+        ``run_cells`` provides).
     mp_context:
-        Start method for the owned pool.
+        Start method for the pool.
 
     Close explicitly (or use as an async context manager): pool mode
     holds worker processes.
     """
 
     def __init__(self, workers: int | None = None, *, mp_context=None):
-        self._workers = int(workers) if workers else 0
         self._mp_context = mp_context
-        self._runner: ParallelRunner | None = (
-            ParallelRunner(self._workers, mp_context=mp_context)
-            if self._workers
-            else None
-        )
-        self._closed = False
+        self._runner = ParallelRunner(workers, mp_context=mp_context)
 
     @property
     def workers(self) -> int:
         """Worker process count (0 = in-process execution)."""
-        return self._workers
+        return self._runner.workers
 
     # -- execution -------------------------------------------------------
     async def solve_batch(self, cells: Sequence[Cell]) -> list[CellOutcome]:
         """Solve every cell on a worker thread; one outcome per cell."""
         if not cells:
             return []
-        if self._closed:
+        if self.closed:
             raise RuntimeError("AsyncBatchExecutor is closed")
-        return await asyncio.to_thread(self._solve_blocking, list(cells))
+        return await asyncio.to_thread(self._solve, list(cells))
 
-    def _solve_blocking(self, cells: list[Cell]) -> list[CellOutcome]:
-        if self._runner is not None:
-            return self._solve_pool(cells)
-        return self._solve_serial(cells)
-
-    def _solve_serial(self, cells: list[Cell]) -> list[CellOutcome]:
-        """In-process batch: per-cell isolation, executor-compatible counters.
-
-        Maintains the same ``exec/cells_*`` progress counters and the
-        ``exec/run_cells`` span shape as :meth:`ParallelRunner.run_cells`,
-        so heartbeat liveness gauges and trace trees look identical
-        whichever execution mode the service runs in.
-        """
-        tracer = current_tracer()
-        registry = default_registry()
-        registry.counter("exec/cells_scheduled").inc(len(cells))
-        registry.gauge("exec/workers").set(1)
-        outcomes: list[CellOutcome] = []
-        with tracer.span("exec/run_cells", cells=len(cells), workers=0):
-            for i, cell in enumerate(cells):
-                t0 = time.perf_counter_ns()
-                try:
-                    outcomes.append(CellOutcome(i, _solve_cell_inline(i, cell)))
-                except Exception as exc:  # noqa: BLE001 - isolation is the contract
-                    obs_metrics.inc("exec/cells_failed")
-                    outcomes.append(
-                        CellOutcome(i, None, f"{type(exc).__name__}: {exc}")
-                    )
-                registry.counter("exec/cells_done").inc()
-                registry.counter("exec/cell_wall_ns").inc(
-                    time.perf_counter_ns() - t0
-                )
-        obs_metrics.inc("exec/cells_run", len(outcomes))
-        return outcomes
-
-    def _solve_pool(self, cells: list[Cell]) -> list[CellOutcome]:
-        assert self._runner is not None
+    def _solve(self, cells: list[Cell]) -> list[CellOutcome]:
         try:
-            results = self._runner.run_cells(cells)
-            return [CellOutcome(i, r) for i, r in enumerate(results)]
+            outcomes = self._runner.cell_outcomes(cells)
         except BrokenProcessPool as exc:
             # The batch's in-flight results died with the worker.  Rebuild
             # the pool so the *next* batch runs; fail only this one.
@@ -187,25 +95,24 @@ class AsyncBatchExecutor:
                 self._runner.close()
             except Exception:  # noqa: BLE001 - a broken pool may refuse to close
                 pass
-            self._runner = ParallelRunner(self._workers, mp_context=self._mp_context)
+            self._runner = ParallelRunner(self.workers, mp_context=self._mp_context)
             message = f"worker crashed mid-batch: {exc}"
             return [CellOutcome(i, None, message) for i in range(len(cells))]
-        except Exception as exc:  # noqa: BLE001 - e.g. a solver raised in a worker
-            obs_metrics.inc("exec/cells_failed", len(cells))
-            message = f"{type(exc).__name__}: {exc}"
-            return [CellOutcome(i, None, message) for i in range(len(cells))]
+        return [
+            CellOutcome(i, None, f"{type(o).__name__}: {o}")
+            if isinstance(o, Exception)
+            else CellOutcome(i, o)
+            for i, o in enumerate(outcomes)
+        ]
 
     # -- lifecycle -------------------------------------------------------
     @property
     def closed(self) -> bool:
-        return self._closed
+        return self._runner.closed
 
     def close(self) -> None:
-        """Close the owned pool, if any. Idempotent."""
-        self._closed = True
-        if self._runner is not None:
-            self._runner.close()
-            self._runner = None
+        """Close the runner and its pool, if any. Idempotent."""
+        self._runner.close()
 
     async def __aenter__(self) -> "AsyncBatchExecutor":
         return self

@@ -1,40 +1,53 @@
-"""The parallel cell executor.
+"""The cell executor: one cell body, in-process or over worker processes.
 
 A **cell** is one solver invocation: ``(instance, algorithm fn, seed,
-options)``.  Campaigns and experiment trial loops are grids of cells with
-no data dependencies between them — embarrassingly parallel, except that
-the results must be *bit-identical* to serial execution.  The runner
-guarantees that by construction:
+options)``.  Campaigns, experiment trial loops, fuzz batteries and service
+batches are grids of cells (or generic tasks) with no data dependencies
+between them — embarrassingly parallel, except that the results must be
+*bit-identical* whatever runs them.  The runner guarantees that by
+construction:
 
+* **One cell body.**  :func:`_solve_cell` attaches the instance, solves
+  under a fresh :class:`~repro.pram.machine.CountingMachine` inside an
+  ``exec/cell`` span, times the solve, verifies it and summarises the
+  machine.  ``ParallelRunner(0)`` (or ``None``) calls it in this process;
+  ``ParallelRunner(N)`` calls it in N worker processes.  Both modes
+  return the same :class:`CellResult` fields, bar ``wall_ns``.
 * **Seeds are inputs, not artifacts of scheduling.**  Every cell carries
   its own :class:`numpy.random.SeedSequence` leaf, derived by the caller
   from the campaign seed tree (:func:`repro.util.rng.spawn_seeds`).  A
   cell's randomness therefore depends only on its coordinates in the
   grid, never on which worker ran it or in what order.
-* **Results assemble in submission order.**  ``run_cells`` maps over an
-  order-preserving pool, so the returned list matches the cell list
-  index-for-index no matter the completion order.
+* **Results assemble in submission order.**  The pool map preserves
+  order, so the returned list matches the cell list index-for-index no
+  matter the completion order.
+* **A failing cell fails only itself.**  The cell body returns its
+  solver's or verifier's exception as that cell's outcome
+  (:meth:`ParallelRunner.cell_outcomes`); :meth:`ParallelRunner.run_cells`
+  re-raises the first one.  A worker crash (``BrokenProcessPool``) still
+  fails the whole call.
 
-Instances travel by :class:`~repro.exec.shm.InstanceHandle` — published
-once into shared memory by the parent, attached (and cached) by each
-worker — so task payloads stay a few hundred bytes however large the
-hypergraph is.
+In pool mode instances travel by :class:`~repro.exec.shm.InstanceHandle`
+— published once into shared memory by the parent, attached (and cached)
+by each worker — so task payloads stay a few hundred bytes however large
+the hypergraph is.  In-process mode has no pool, no arena and no pickling:
+cells and tasks may be closures.
 
-Telemetry round-trips: when the parent has an ambient tracer, each worker
-runs its cell under a private :class:`~repro.obs.tracer.Tracer` over a
-:class:`~repro.obs.events.MemorySink` and an isolated metrics registry,
-and ships both back with the result.  The parent merges the metrics into
-its default registry and splices the span events (ids remapped, roots
-re-parented under the ``exec/run_cells`` span) into its own stream — so
-``repro trace summary`` over a parallel run shows the same tree shape a
-serial run would.
+Telemetry: in-process, cells run under the ambient tracer and registry.
+In a worker, the cell runs under a private :class:`~repro.obs.tracer.Tracer`
+over a :class:`~repro.obs.events.MemorySink` (when the parent traces) and
+an isolated metrics registry, and ships both back with the result.  The
+parent merges the metrics into its default registry and splices the span
+events (ids remapped, roots re-parented under the ``exec/run_cells``
+span) into its own stream — so both modes leave the same trace tree.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from contextlib import ExitStack, contextmanager
+import traceback
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence, Union
 
@@ -70,10 +83,10 @@ class Cell:
     """One schedulable solver invocation.
 
     ``instance`` is either a published :class:`InstanceHandle` or a raw
-    :class:`Hypergraph` (``run_cells`` publishes raw instances into a
+    :class:`Hypergraph` (a pool runner publishes raw instances into a
     per-call arena automatically, deduplicated by content hash).  ``fn``
-    must be picklable — a module-level callable with the solver signature
-    ``fn(H, seed, *, machine=..., **options)``.
+    has the solver signature ``fn(H, seed, *, machine=..., **options)``;
+    a pool runner needs it picklable (a module-level callable).
     """
 
     instance: Union[InstanceHandle, Hypergraph]
@@ -108,77 +121,111 @@ class CellResult:
 
 
 class ParallelRunner:
-    """Schedules cells over a :class:`WorkerPool`; owns nothing it leaks.
+    """Runs cells and tasks in-process or over a :class:`WorkerPool`.
 
     Parameters
     ----------
     workers:
-        Worker process count, or an existing :class:`WorkerPool` to borrow
-        (borrowed pools are not closed by the runner).
+        Worker process count.  ``0`` or ``None`` runs every cell and task
+        in this process, through the same bodies the workers run, with the
+        same ``exec/*`` counters and the same ``exec/run_cells`` span.
     mp_context:
-        Start method for a runner-owned pool (defaults to ``fork`` where
-        available).
+        Start method for the pool (defaults to ``fork`` where available).
 
-    Use as a context manager, or call :meth:`close` explicitly — the
+    Use as a context manager, or call :meth:`close` explicitly — a pool
     runner holds worker processes.
     """
 
-    def __init__(
-        self,
-        workers: Union[int, WorkerPool],
-        *,
-        mp_context: Any = None,
-    ):
-        if isinstance(workers, WorkerPool):
-            self._pool = workers
-            self._owns_pool = False
-        else:
-            self._pool = WorkerPool(workers, mp_context=mp_context)
-            self._owns_pool = True
+    def __init__(self, workers: int | None, *, mp_context: Any = None):
+        self._workers = int(workers or 0)
+        self._pool = (
+            WorkerPool(self._workers, mp_context=mp_context) if self._workers else None
+        )
+        self._closed = False
 
     @property
     def workers(self) -> int:
-        return self._pool.workers
+        """Worker process count (0 = in-process)."""
+        return self._workers
 
     # -- execution -------------------------------------------------------
     def run_cells(self, cells: Sequence[Cell]) -> list[CellResult]:
         """Run every cell; return results in cell order.
 
-        Raw ``Hypergraph`` instances are published into a temporary arena
-        for the duration of the call (handles passed in by the caller are
-        used as-is and never released here).  If a worker dies the
-        underlying ``BrokenProcessPool`` propagates — after the arena is
-        torn down, so no shared-memory block outlives the failure.
+        The first cell whose solver or verifier raised re-raises its
+        exception here, and the cells after it are not waited for.  A
+        worker crash raises ``BrokenProcessPool``; either way the per-call
+        arena is torn down first, so no shared-memory block outlives the
+        failure.
         """
+        results = []
+        with closing(self._outcomes(cells)) as outcomes:
+            for outcome in outcomes:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                results.append(outcome)
+        return results
+
+    def cell_outcomes(self, cells: Sequence[Cell]) -> list[CellResult | Exception]:
+        """Run every cell; one outcome per cell, in cell order.
+
+        An outcome is the cell's :class:`CellResult`, or the exception its
+        solver or verifier raised, so a failing cell fails only itself.  A
+        worker crash still raises ``BrokenProcessPool`` for the whole call.
+        """
+        with closing(self._outcomes(cells)) as outcomes:
+            return list(outcomes)
+
+    def _outcomes(self, cells: Sequence[Cell]) -> Iterator[CellResult | Exception]:
         if not cells:
-            return []
-        _check_picklable(cells)
+            return
+        self._require_open()
+        if self._pool is not None:
+            _check_picklable(cells)
         tracer = current_tracer()
-        capture = _capture_config(tracer)
         registry = default_registry()
         registry.counter("exec/cells_scheduled").inc(len(cells))
-        registry.gauge("exec/workers").set(self.workers)
+        # Heartbeat utilisation divides by this: in-process is one worker.
+        registry.gauge("exec/workers").set(max(self._workers, 1))
+        ran = 0
         with ExitStack() as stack:
-            arena = stack.enter_context(ShmArena())
-            payloads = []
-            for i, cell in enumerate(cells):
-                instance = cell.instance
-                if isinstance(instance, Hypergraph):
-                    instance = arena.publish(instance)
-                payloads.append((i, cell, instance, capture))
-            with tracer.span(
-                "exec/run_cells", cells=len(cells), workers=self.workers
-            ) as span:
+            span = stack.enter_context(
+                tracer.span("exec/run_cells", cells=len(cells), workers=self._workers)
+            )
+            if self._pool is None:
+                outcomes: Iterator[CellResult | Exception] = (
+                    _solve_cell(i, cell, cell.instance) for i, cell in enumerate(cells)
+                )
+            else:
+                arena = stack.enter_context(ShmArena())
+                capture = _capture_config(tracer)
+                payloads = [
+                    (
+                        i,
+                        cell,
+                        arena.publish(cell.instance)
+                        if isinstance(cell.instance, Hypergraph)
+                        else cell.instance,
+                        capture,
+                    )
+                    for i, cell in enumerate(cells)
+                ]
                 # Stream-consume the (order-preserving) map so the progress
                 # counters advance as results land — that's what a heartbeat
                 # thread reads for liveness — instead of jumping at the end.
-                results = []
-                for r in self._pool.map(_run_cell, payloads):
-                    registry.counter("exec/cells_done").inc()
-                    registry.counter("exec/cell_wall_ns").inc(r["wall_ns"])
-                    results.append(self._absorb(r, tracer, span))
-        obs_metrics.inc("exec/cells_run", len(results))
-        return results
+                outcomes = (
+                    _absorb(raw, tracer, span)
+                    for raw in self._pool.map(_run_cell, payloads)
+                )
+            for outcome in outcomes:
+                registry.counter("exec/cells_done").inc()
+                if isinstance(outcome, Exception):
+                    registry.counter("exec/cells_failed").inc()
+                else:
+                    registry.counter("exec/cell_wall_ns").inc(outcome.wall_ns)
+                ran += 1
+                yield outcome
+        obs_metrics.inc("exec/cells_run", ran)
 
     def map_tasks(
         self,
@@ -188,25 +235,27 @@ class ParallelRunner:
         label: str = "exec/map_tasks",
         chunksize: int | str | None = "auto",
     ) -> list[Any]:
-        """Map a picklable function over *items*; results in item order.
+        """Map *fn* over *items*; results in item order.
 
         The generic sibling of :meth:`run_cells` for workloads that are
         not solver cells (the fuzz campaign's per-case batteries): same
         order-preserving pool, same telemetry round-trip (worker spans
         and metrics spliced back into the parent stream), but no
         shared-memory instance transfer — items travel pickled, so keep
-        them small.  *fn* must be a module-level callable.
+        them small.  A pool runner needs *fn* at module level; an
+        exception *fn* raises propagates.
 
-        ``chunksize`` controls dispatch granularity on large grids.  The
-        default ``"auto"`` probes ``CHUNK_PROBE_FACTOR x workers`` items
-        singly, then sizes contiguous chunks from the **measured** median
-        per-item wall time toward :data:`CHUNK_TARGET_NS` of work per
-        dispatch — so 10k cheap tasks stop paying per-task round-trip
-        overhead, while expensive tasks degrade gracefully to chunks of
-        one.  Pass an ``int`` to fix the chunk size, or ``1``/``None``
-        to dispatch every item singly.  Chunks are contiguous slices and
-        the pool map preserves order, so results always come back in
-        item order regardless of granularity.
+        ``chunksize`` controls dispatch granularity on large grids (pool
+        mode only; in-process runs items one after another).  The default
+        ``"auto"`` probes ``CHUNK_PROBE_FACTOR x workers`` items singly,
+        then sizes contiguous chunks from the **measured** median per-item
+        wall time toward :data:`CHUNK_TARGET_NS` of work per dispatch — so
+        10k cheap tasks stop paying per-task round-trip overhead, while
+        expensive tasks degrade gracefully to chunks of one.  Pass an
+        ``int`` to fix the chunk size, or ``1``/``None`` to dispatch every
+        item singly.  Chunks are contiguous slices and the pool map
+        preserves order, so results always come back in item order
+        regardless of granularity.
         """
         if not items:
             return []
@@ -214,128 +263,94 @@ class ParallelRunner:
                 (isinstance(chunksize, int) and chunksize >= 1)):
             raise ValueError(f"chunksize must be 'auto', None or an int >= 1: "
                              f"{chunksize!r}")
-        try:
-            pickle.dumps(fn)
-        except Exception as exc:
-            raise TypeError(
-                f"task function {fn!r} is not picklable (define it at module "
-                f"level; lambdas and closures cannot cross process "
-                f"boundaries): {exc}"
-            ) from exc
+        self._require_open()
+        if self._pool is not None:
+            try:
+                pickle.dumps(fn)
+            except Exception as exc:
+                raise TypeError(
+                    f"task function {fn!r} is not picklable (define it at module "
+                    f"level; lambdas and closures cannot cross process "
+                    f"boundaries): {exc}"
+                ) from exc
         tracer = current_tracer()
-        capture = _capture_config(tracer)
         registry = default_registry()
         registry.counter("exec/tasks_scheduled").inc(len(items))
-        registry.gauge("exec/workers").set(self.workers)
-        with tracer.span(label, tasks=len(items), workers=self.workers) as span:
-            results = self._dispatch_tasks(
-                fn, items, capture, tracer, registry, span, chunksize
-            )
+        registry.gauge("exec/workers").set(max(self._workers, 1))
+        with tracer.span(label, tasks=len(items), workers=self._workers) as span:
+            if self._pool is None:
+                results = []
+                for item in items:
+                    (result,), wall_ns = _run_task_body(fn, [item])
+                    registry.counter("exec/tasks_done").inc()
+                    registry.counter("exec/task_wall_ns").inc(wall_ns)
+                    results.append(result)
+            else:
+                results = self._dispatch_tasks(fn, items, tracer, span, chunksize)
         obs_metrics.inc("exec/tasks_run", len(results))
         return results
 
-    def _dispatch_tasks(
-        self, fn, items, capture, tracer, registry, span, chunksize
-    ) -> list[Any]:
+    def _dispatch_tasks(self, fn, items, tracer, span, chunksize) -> list[Any]:
         n = len(items)
-        w = self.workers
+        w = self._workers
+        head: list[Any] = []
         if chunksize == "auto" and n < CHUNK_MIN_FACTOR * w:
             chunksize = None  # too few items for chunking to pay off
         if chunksize is None or chunksize == 1:
-            return [
-                r for r, _ in self._map_singly(
-                    fn, items, 0, capture, tracer, registry, span
-                )
-            ]
+            return self._map_chunks(fn, items, 1, tracer, span, count_chunks=False)
         if chunksize == "auto":
             # Probe: run a couple of items per worker singly and measure.
             probe_n = min(CHUNK_PROBE_FACTOR * w, n)
-            probed = self._map_singly(
-                fn, items[:probe_n], 0, capture, tracer, registry, span
+            walls: list[int] = []
+            head = self._map_chunks(
+                fn, items[:probe_n], 1, tracer, span, count_chunks=False, walls=walls
             )
-            walls = sorted(wall for _, wall in probed)
-            median = walls[len(walls) // 2]
-            remaining = n - probe_n
+            median = sorted(walls)[len(walls) // 2]
             size = max(1, CHUNK_TARGET_NS // max(median, 1))
             # Never starve the pool: keep at least one chunk per worker.
-            size = int(min(size, max(1, -(-remaining // w))))
-            registry.gauge("exec/chunk_size").set(size)
-            head = [r for r, _ in probed]
-            return head + self._map_chunked(
-                fn, items[probe_n:], probe_n, size, capture, tracer, registry, span
-            )
-        registry.gauge("exec/chunk_size").set(chunksize)
-        return self._map_chunked(
-            fn, items, 0, chunksize, capture, tracer, registry, span
-        )
+            chunksize = int(min(size, max(1, -(-(n - probe_n) // w))))
+            items = items[probe_n:]
+        default_registry().gauge("exec/chunk_size").set(chunksize)
+        return head + self._map_chunks(fn, items, chunksize, tracer, span, count_chunks=True)
 
-    def _map_singly(
-        self, fn, items, base, capture, tracer, registry, span
-    ) -> list[tuple[Any, int]]:
-        """Dispatch one task per item; return ``(result, wall_ns)`` pairs."""
-        payloads = [(base + i, fn, item, capture) for i, item in enumerate(items)]
-        out = []
-        for r in self._pool.map(_run_task, payloads):
-            registry.counter("exec/tasks_done").inc()
-            registry.counter("exec/task_wall_ns").inc(r["wall_ns"])
-            if r["metrics"] is not None:
-                registry.merge_snapshot(r["metrics"])
-            if r["events"]:
-                _replay_events(tracer, r["events"], parent_id=span.span_id)
-            out.append((r["result"], r["wall_ns"]))
-        return out
-
-    def _map_chunked(
-        self, fn, items, base, size, capture, tracer, registry, span
+    def _map_chunks(
+        self, fn, items, size, tracer, span, *, count_chunks, walls=None
     ) -> list[Any]:
-        """Dispatch contiguous *size*-item slices; return flat results."""
-        if not len(items):
-            return []
+        """Dispatch contiguous *size*-item slices; return flat results.
+
+        Per-dispatch wall times are appended to *walls* when given.
+        """
+        capture = _capture_config(tracer)
         payloads = [
-            (base + start, fn, list(items[start : start + size]), capture)
+            (fn, list(items[start : start + size]), capture)
             for start in range(0, len(items), size)
         ]
+        registry = default_registry()
         results: list[Any] = []
-        for r in self._pool.map(_run_task_chunk, payloads):
-            registry.counter("exec/chunks_dispatched").inc()
-            registry.counter("exec/tasks_done").inc(r["count"])
-            registry.counter("exec/task_wall_ns").inc(r["wall_ns"])
-            if r["metrics"] is not None:
-                registry.merge_snapshot(r["metrics"])
-            if r["events"]:
-                _replay_events(tracer, r["events"], parent_id=span.span_id)
-            results.extend(r["results"])
+        for raw in self._pool.map(_run_tasks, payloads):
+            chunk_results, wall_ns = _absorb(raw, tracer, span)
+            if count_chunks:
+                registry.counter("exec/chunks_dispatched").inc()
+            registry.counter("exec/tasks_done").inc(len(chunk_results))
+            registry.counter("exec/task_wall_ns").inc(wall_ns)
+            if walls is not None:
+                walls.append(wall_ns)
+            results.extend(chunk_results)
         return results
 
-    def _absorb(self, raw: dict[str, Any], tracer: Any, span: Any) -> CellResult:
-        """Fold one worker result into parent telemetry; build its CellResult."""
-        if raw["metrics"] is not None:
-            default_registry().merge_snapshot(raw["metrics"])
-        if raw["events"]:
-            _replay_events(tracer, raw["events"], parent_id=span.span_id)
-        machine = raw["machine"]
-        return CellResult(
-            index=raw["index"],
-            label=raw["label"],
-            mis_size=raw["size"],
-            num_rounds=raw["num_rounds"],
-            depth=int(machine.get("depth", 0)),
-            work=int(machine.get("work", 0)),
-            wall_ns=raw["wall_ns"],
-            independent_set=raw["independent_set"],
-            machine=machine,
-            meta=raw["meta"],
-            rounds=raw["rounds"],
-        )
-
     # -- lifecycle -------------------------------------------------------
+    def _require_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("ParallelRunner is closed")
+
     @property
     def closed(self) -> bool:
-        return self._pool.closed
+        return self._closed
 
     def close(self) -> None:
-        """Close the owned pool (borrowed pools stay open). Idempotent."""
-        if self._owns_pool:
+        """Close the pool, if any. Idempotent."""
+        self._closed = True
+        if self._pool is not None:
             self._pool.close()
 
     def __enter__(self) -> "ParallelRunner":
@@ -366,6 +381,15 @@ def _check_picklable(cells: Sequence[Cell]) -> None:
             ) from exc
 
 
+def _absorb(raw: dict[str, Any], tracer: Any, span: Any) -> Any:
+    """Fold one worker reply's metrics and spans into the parent; return its value."""
+    if raw["metrics"] is not None:
+        default_registry().merge_snapshot(raw["metrics"])
+    if raw["events"]:
+        _replay_events(tracer, raw["events"], parent_id=span.span_id)
+    return raw["value"]
+
+
 def _replay_events(
     tracer: Any, events: list[dict[str, Any]], *, parent_id: int | None
 ) -> None:
@@ -393,8 +417,60 @@ def _replay_events(
 
 
 # ---------------------------------------------------------------------------
-# worker side
+# the bodies: run in-process as they are, in a worker under a capture wrapper
 # ---------------------------------------------------------------------------
+def _solve_cell(index: int, cell: Cell, instance: Any) -> CellResult | Exception:
+    """The one cell body: the only place a cell's ``fn`` is called.
+
+    Attaches the instance, solves under a fresh :class:`CountingMachine`
+    inside an ``exec/cell`` span on the ambient tracer, times the solve,
+    verifies it and summarises the machine.  An exception from the solver
+    or the verifier is returned as the cell's outcome, not raised.
+    """
+    H = shm.attach(instance) if isinstance(instance, InstanceHandle) else instance
+    machine = CountingMachine()
+    try:
+        t0 = time.perf_counter_ns()
+        with current_tracer().span(
+            "exec/cell", machine=machine, index=index, label=cell.label
+        ):
+            res = cell.fn(H, cell.seed, machine=machine, **cell.options)
+        wall_ns = time.perf_counter_ns() - t0
+        if cell.verify:
+            res.verify(H)
+    except Exception as exc:  # noqa: BLE001 - a failing cell fails only itself
+        return exc
+    machine_summary = (
+        dict(res.machine)
+        if res.machine is not None
+        else {
+            "depth": machine.depth,
+            "work": machine.work,
+            "max_processors": machine.max_processors,
+        }
+    )
+    return CellResult(
+        index=index,
+        label=cell.label,
+        mis_size=res.size,
+        num_rounds=res.num_rounds,
+        depth=int(machine_summary.get("depth", 0)),
+        work=int(machine_summary.get("work", 0)),
+        wall_ns=wall_ns,
+        independent_set=res.independent_set,
+        machine=machine_summary,
+        meta=res.meta,
+        rounds=res.rounds if cell.keep_rounds else None,
+    )
+
+
+def _run_task_body(fn: Callable[[Any], Any], chunk: list[Any]) -> tuple[list[Any], int]:
+    """The task body: *fn* over a contiguous slice, and its wall time."""
+    t0 = time.perf_counter_ns()
+    results = [fn(item) for item in chunk]
+    return results, time.perf_counter_ns() - t0
+
+
 def _capture_config(tracer: Any) -> dict[str, Any] | None:
     """Telemetry-capture config shipped to workers (``None`` = no capture).
 
@@ -406,132 +482,71 @@ def _capture_config(tracer: Any) -> dict[str, Any] | None:
     return {"track_memory": bool(getattr(tracer, "track_memory", False))}
 
 
-def _worker_tracer(capture: dict[str, Any] | None, registry: Any) -> tuple[Any, Any]:
-    """Build the per-worker (sink, tracer) pair for one cell/task."""
-    if capture is None:
-        return None, NULL_TRACER
-    sink = MemorySink()
-    tracer = Tracer(
-        sink, registry=registry, track_memory=capture.get("track_memory", False)
-    )
-    return sink, tracer
+def _captured(
+    capture: dict[str, Any] | None, body: Callable[..., Any], *args: Any
+) -> dict[str, Any]:
+    """Run *body* in a worker under an isolated registry and a private tracer.
 
-
-def _run_cell(payload: tuple[int, Cell, Any, Any]) -> dict[str, Any]:
-    """Execute one cell in a worker process.
-
-    Runs under an isolated metrics registry and (when the parent captures
-    telemetry) a private memory-sink tracer — never the tracer/registry
-    inherited across ``fork``, which may hold the parent's open file
-    descriptors.  Returns a plain dict so the payload pickles without
-    importing result classes in a particular order.
+    Never the tracer/registry inherited across ``fork``, which may hold
+    the parent's open file descriptors.  Returns the body's ``value`` with
+    the ``metrics`` snapshot and the captured span ``events`` to ship back.
     """
-    index, cell, instance, capture = payload
     with isolated_registry() as registry:
-        H = shm.attach(instance) if isinstance(instance, InstanceHandle) else instance
-        sink, tracer = _worker_tracer(capture, registry)
-        machine = CountingMachine()
+        sink = MemorySink() if capture is not None else None
+        tracer = (
+            Tracer(sink, registry=registry, track_memory=capture["track_memory"])
+            if sink is not None
+            else NULL_TRACER
+        )
         try:
             with use_tracer(tracer):  # type: ignore[arg-type]
-                t0 = time.perf_counter_ns()
-                with tracer.span(
-                    "exec/cell", machine=machine, index=index, label=cell.label
-                ):
-                    res = cell.fn(H, cell.seed, machine=machine, **cell.options)
-                wall_ns = time.perf_counter_ns() - t0
+                value = body(*args)
         finally:
             if sink is not None:
                 tracer.close()  # release GC hook / owned tracemalloc
-        if cell.verify:
-            res.verify(H)
-        machine_summary = (
-            dict(res.machine)
-            if res.machine is not None
-            else {
-                "depth": machine.depth,
-                "work": machine.work,
-                "max_processors": machine.max_processors,
-            }
-        )
         return {
-            "index": index,
-            "label": cell.label,
-            "size": res.size,
-            "num_rounds": res.num_rounds,
-            "independent_set": res.independent_set,
-            "machine": machine_summary,
-            "meta": res.meta,
-            "rounds": res.rounds if cell.keep_rounds else None,
-            "wall_ns": wall_ns,
+            "value": value,
             "metrics": registry.snapshot(),
             "events": sink.events if sink is not None else [],
         }
 
 
-def _run_task(payload: tuple[int, Callable[[Any], Any], Any, Any]) -> dict[str, Any]:
-    """Execute one generic task in a worker process.
+def _run_cell(payload: tuple[int, Cell, Any, Any]) -> dict[str, Any]:
+    """Run the cell body in a worker process, under :func:`_captured`."""
+    index, cell, instance, capture = payload
+    reply = _captured(capture, _solve_cell, index, cell, instance)
+    if isinstance(reply["value"], Exception):
+        reply["value"] = _portable(reply["value"])
+    return reply
 
-    Same isolation discipline as :func:`_run_cell` — private registry,
-    private memory-sink tracer when the parent captures telemetry — but
-    the result is whatever the task function returns (it must pickle).
+
+def _run_tasks(payload: tuple[Callable[[Any], Any], list[Any], Any]) -> dict[str, Any]:
+    """Run the task body over one slice in a worker, under :func:`_captured`."""
+    fn, chunk, capture = payload
+    return _captured(capture, _run_task_body, fn, chunk)
+
+
+def _portable(exc: Exception) -> Exception:
+    """*exc*, fit to cross back to the parent.
+
+    The worker's traceback does not pickle, so it rides along as a note.
+    An exception that does not survive a pickle round trip would break
+    the pool on the way back; it is replaced by a ``RuntimeError`` with
+    its text.
     """
-    index, fn, item, capture = payload
-    with isolated_registry() as registry:
-        sink, tracer = _worker_tracer(capture, registry)
-        try:
-            with use_tracer(tracer):  # type: ignore[arg-type]
-                t0 = time.perf_counter_ns()
-                result = fn(item)
-                wall_ns = time.perf_counter_ns() - t0
-        finally:
-            if sink is not None:
-                tracer.close()
-        return {
-            "index": index,
-            "result": result,
-            "wall_ns": wall_ns,
-            "metrics": registry.snapshot(),
-            "events": sink.events if sink is not None else [],
-        }
-
-
-def _run_task_chunk(
-    payload: tuple[int, Callable[[Any], Any], list[Any], Any],
-) -> dict[str, Any]:
-    """Execute a contiguous slice of tasks in one worker dispatch.
-
-    One isolated registry and (when capturing) one private tracer cover
-    the whole slice; the parent merges/splices them once per chunk, so a
-    chunked run yields the same counters and span set as a singly-
-    dispatched run — just fewer round-trips.
-    """
-    start, fn, chunk, capture = payload
-    with isolated_registry() as registry:
-        sink, tracer = _worker_tracer(capture, registry)
-        results = []
-        try:
-            with use_tracer(tracer):  # type: ignore[arg-type]
-                t0 = time.perf_counter_ns()
-                for item in chunk:
-                    results.append(fn(item))
-                wall_ns = time.perf_counter_ns() - t0
-        finally:
-            if sink is not None:
-                tracer.close()
-        return {
-            "start": start,
-            "results": results,
-            "count": len(results),
-            "wall_ns": wall_ns,
-            "metrics": registry.snapshot(),
-            "events": sink.events if sink is not None else [],
-        }
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - any failure means it cannot cross
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    if hasattr(exc, "add_note"):
+        exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+    return exc
 
 
 # ---------------------------------------------------------------------------
 # ambient runner
 # ---------------------------------------------------------------------------
-#: The runner experiment trial loops fall back to (``None`` = run serially).
+#: The runner experiment trial loops use (``None`` = an in-process one).
 _current_runner: ParallelRunner | None = None
 
 
@@ -545,8 +560,8 @@ def use_runner(runner: ParallelRunner | None) -> Iterator[ParallelRunner | None]
     """Install *runner* as the ambient runner for the block (nestable).
 
     Trial loops written against :func:`current_runner` transparently go
-    parallel inside the block and stay serial outside it — no signature
-    changes down the call stack.
+    parallel inside the block and stay in-process outside it — no
+    signature changes down the call stack.
     """
     global _current_runner
     previous = _current_runner

@@ -7,12 +7,15 @@ the depth is the *maximum* (not the sum) over components.
 :func:`repro.core.decompose.solve_by_components` exploits exactly that.
 
 Implementation: one ``scipy.sparse.csgraph.connected_components`` call on
-the bipartite vertex–edge graph (a node per universe slot plus a node per
+the bipartite vertex–edge graph (a node per vertex slot plus a node per
 edge, linked by incidence) — O(Σ|e|) in compiled code instead of the old
-Python union–find.  Labels keep the historical order: dense 0-based ids
-assigned by first occurrence over the ascending active vertices.
-``csgraph`` is imported on the first call: it pulls in ``scipy.linalg``
-(~0.15 s), which a plain ``repro solve`` never needs.
+Python union–find.  The edge store already is that graph's CSR: edge rows
+take the store's ``indptr``/``indices``, vertex rows are empty, and
+``directed=False`` symmetrises (:func:`incidence_labels`).  Labels keep the
+historical order: dense 0-based ids assigned by first occurrence over the
+ascending active vertices.  ``csgraph`` is imported on the first call: it
+pulls in ``scipy.linalg`` (~0.15 s), which a plain ``repro solve`` never
+needs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,28 @@ import scipy.sparse as sp
 
 from repro.hypergraph.hypergraph import Hypergraph
 
-__all__ = ["component_labels", "connected_components", "num_components"]
+__all__ = ["component_labels", "connected_components", "incidence_labels", "num_components"]
+
+
+def incidence_labels(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Component label of each vertex ``0..n-1`` of an edge list in CSR form.
+
+    Edge ``j`` has the members ``indices[indptr[j]:indptr[j+1]]`` (each
+    below *n*).  The labels are those of the vertex–edge graph whose node
+    ``n + j`` is edge ``j``.  Its CSR is the vertex rows (empty) followed by
+    the edge rows, which are the edge list itself: no COO detour, no
+    per-position edge-id array.  Label values are arbitrary but distinct
+    per component.
+    """
+    from scipy.sparse import csgraph
+
+    m = indptr.size - 1
+    rows = np.concatenate((np.zeros(n, dtype=indptr.dtype), indptr))
+    graph = sp.csr_matrix(
+        (np.ones(indices.size, dtype=np.int8), indices, rows), shape=(n + m, n + m)
+    )
+    _, labels = csgraph.connected_components(graph, directed=False)
+    return labels[:n]
 
 
 def component_labels(H: Hypergraph) -> np.ndarray:
@@ -36,19 +60,8 @@ def component_labels(H: Hypergraph) -> np.ndarray:
     if verts.size == 0:
         return labels
     if H.num_edges:
-        from scipy.sparse import csgraph
-
         store = H.store
-        m = store.num_edges
-        n_nodes = H.universe + m
-        rows = store.indices
-        cols = H.universe + np.repeat(np.arange(m, dtype=np.intp), store.sizes())
-        graph = sp.coo_matrix(
-            (np.ones(rows.size, dtype=np.int8), (rows, cols)),
-            shape=(n_nodes, n_nodes),
-        )
-        _, raw_all = csgraph.connected_components(graph, directed=False)
-        raw = raw_all[verts]
+        raw = incidence_labels(H.universe, store.indptr, store.indices)[verts]
     else:
         raw = np.arange(verts.size, dtype=np.intp)
     # Dense remap by first occurrence over the (ascending) active vertices —

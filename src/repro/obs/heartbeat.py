@@ -5,7 +5,8 @@ Long campaigns and fuzz runs used to be black boxes until they returned.
 reads the executor's progress counters off a metrics registry
 (``exec/cells_scheduled``/``exec/cells_done``/``exec/cell_wall_ns`` and
 their ``tasks`` twins, maintained by
-:class:`~repro.exec.runner.ParallelRunner` and the serial campaign loop),
+:class:`~repro.exec.runner.ParallelRunner` in both its in-process and its
+pool mode),
 derives the liveness gauges
 
 * ``exec/cells_done`` / ``exec/cells_total`` — progress through the grid,

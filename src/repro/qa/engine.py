@@ -362,10 +362,11 @@ def run_fuzz(
     workers:
         Fan case batteries out over N worker processes via the shared
         :class:`~repro.exec.runner.ParallelRunner` (``None``/``0`` =
-        in-process).  Case content, processing order and the failure
-        report are identical to serial for a case budget; a time budget
-        may overshoot by up to one dispatch chunk before it stops.
-        ``extra_solvers`` must be picklable to cross the pool boundary.
+        in-process, one case per dispatch).  Case content, processing
+        order and the failure report are identical for every worker count
+        on a case budget; with workers, a time budget may overshoot by up
+        to one dispatch chunk before it stops.  ``extra_solvers`` must be
+        picklable to cross the pool boundary.
     """
     if isinstance(budget, str):
         budget = parse_budget(budget)
@@ -415,49 +416,37 @@ def run_fuzz(
         "fuzz/run", seed=seed, budget=str(budget), workers=workers or 0
     ) as run_span:
         offset = 0
-        if workers:
-            from repro.exec.runner import ParallelRunner
+        from repro.exec.runner import ParallelRunner
 
-            with ParallelRunner(workers) as runner:
-                # Chunked dispatch: enough cases in flight to keep every
-                # worker busy, small enough that a time budget or an early
-                # max-failures stop does not overrun by much.
-                chunk = max(2 * runner.workers, 4)
-                stop = False
-                while not stop and not exhausted(offset):
-                    size = chunk
-                    if budget.cases is not None:
-                        size = min(size, budget.cases - offset)
-                    indices = [start_index + offset + i for i in range(size)]
-                    batch = runner.map_tasks(
-                        _case_battery,
-                        [
-                            (seed, idx, solvers, extra_solvers, metamorphic, oracle)
-                            for idx in indices
-                        ],
-                        label="fuzz/chunk",
-                    )
-                    for index, failures in zip(indices, batch):
-                        obs_metrics.inc("qa/cases")
-                        report.cases += 1
-                        offset += 1
-                        if failures or on_case is not None:
-                            # The case itself stays in the worker; rebuild
-                            # it (pure in (seed, index)) only when needed.
-                            if fold(generate_case(seed, index), failures):
-                                stop = True
-                                break
-        else:
-            while not exhausted(offset):
-                case = generate_case(seed, start_index + offset)
-                failures = _run_battery(
-                    case, solvers, extra_solvers, metamorphic, oracle
+        with ParallelRunner(workers) as runner:
+            # Chunked dispatch: enough cases in flight to keep every worker
+            # busy, small enough that a time budget or an early max-failures
+            # stop does not overrun by much.  In-process, one case at a time.
+            chunk = max(2 * runner.workers, 4) if runner.workers else 1
+            stop = False
+            while not stop and not exhausted(offset):
+                size = chunk
+                if budget.cases is not None:
+                    size = min(size, budget.cases - offset)
+                indices = [start_index + offset + i for i in range(size)]
+                batch = runner.map_tasks(
+                    _case_battery,
+                    [
+                        (seed, idx, solvers, extra_solvers, metamorphic, oracle)
+                        for idx in indices
+                    ],
+                    label="fuzz/chunk",
                 )
-                obs_metrics.inc("qa/cases")
-                report.cases += 1
-                offset += 1
-                if fold(case, failures):
-                    break
+                for index, failures in zip(indices, batch):
+                    obs_metrics.inc("qa/cases")
+                    report.cases += 1
+                    offset += 1
+                    if failures or on_case is not None:
+                        # The case itself stays in the battery; rebuild it
+                        # (pure in (seed, index)) only when needed.
+                        if fold(generate_case(seed, index), failures):
+                            stop = True
+                            break
         report.elapsed_s = time.monotonic() - t0
         if tracer.enabled:
             run_span.set(

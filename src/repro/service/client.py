@@ -63,8 +63,12 @@ class SolveClient:
     def __init__(self, socket_path: str | Path, *, timeout: float = 30.0):
         self.socket_path = str(socket_path)
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(self.socket_path)
+        try:
+            self._sock.settimeout(timeout)
+            self._sock.connect(self.socket_path)
+        except BaseException:
+            self._sock.close()
+            raise
         self._rfile = self._sock.makefile("rb")
 
     def close(self) -> None:

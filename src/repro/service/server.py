@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -74,6 +75,8 @@ from repro.service.protocol import (
 
 __all__ = ["ServerConfig", "ServerThread", "SolveServer", "default_algorithms"]
 
+_log = logging.getLogger(__name__)
+
 #: Request latencies kept for the p50/p99 liveness gauges (a ring buffer).
 LATENCY_WINDOW = 1024
 
@@ -95,9 +98,9 @@ def default_algorithms() -> dict[str, Callable]:
 class ServerConfig:
     """Tunables of one :class:`SolveServer`.
 
-    ``workers`` follows the executor convention: ``None``/0 solves
-    in-process on a dispatch thread; N > 0 batches onto a
-    :class:`~repro.exec.runner.ParallelRunner` with N processes.
+    ``workers`` follows the executor convention: each batch runs on a
+    :class:`~repro.exec.runner.ParallelRunner` with that many worker
+    processes, where ``None``/0 solves in-process on a dispatch thread.
     """
 
     socket_path: str | Path
@@ -241,6 +244,23 @@ class SolveServer:
         response = await self._solve(req, t0)
         self._finish_request(req, response, t0)
         return response
+
+    async def _answer(self, doc: dict[str, Any]) -> dict[str, Any]:
+        """:meth:`handle_doc` for a transport: every request gets an answer.
+
+        An exception that escapes the request path becomes an ``error``
+        response carrying the request id, counted on
+        ``service/internal_errors`` and logged with its traceback, instead
+        of a client left waiting.
+        """
+        try:
+            return await self.handle_doc(doc)
+        except Exception as exc:  # noqa: BLE001 - answer, never drop
+            obs_metrics.inc("service/internal_errors")
+            _log.exception("internal error answering request %r", doc.get("id"))
+            return error_response(
+                str(doc.get("id", "")), "error", f"internal error: {type(exc).__name__}: {exc}"
+            )
 
     async def _solve(self, req: SolveRequest, t0: int) -> dict[str, Any]:
         if req.instance is not None:
@@ -389,7 +409,7 @@ class SolveServer:
 
         async def answer(doc_or_error) -> None:
             if isinstance(doc_or_error, dict):
-                response = await self.handle_doc(doc_or_error)
+                response = await self._answer(doc_or_error)
             else:
                 response = doc_or_error
             async with write_lock:
@@ -477,9 +497,10 @@ class SolveServer:
                 body = await reader.readexactly(length) if length else b""
                 try:
                     doc = decode_line(body)
-                    response = await self.handle_doc(doc)
                 except ProtocolError as exc:
                     response = error_response("", "bad_request", str(exc))
+                else:
+                    response = await self._answer(doc)
                 status = 200 if response.get("status") == "ok" else _http_status(response)
                 await self._http_reply(
                     writer,

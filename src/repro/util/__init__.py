@@ -8,11 +8,10 @@ subsystem builds on:
 * :mod:`repro.util.itlog` — iterated logarithms ``log``, ``log^(2)``,
   ``log^(3)`` and related closed forms used throughout the paper's
   parameter choices.
-* :mod:`repro.util.bitset` — a NumPy-backed fixed-universe bitset used to
-  represent vertex subsets compactly.
+* :mod:`repro.util.bitset` — a NumPy-backed fixed-universe bitset
+  (import it from there; the package does not load it).
 """
 
-from repro.util.bitset import Bitset
 from repro.util.itlog import (
     ilog,
     log2_ceil,
@@ -23,7 +22,6 @@ from repro.util.itlog import (
 from repro.util.rng import as_generator, spawn_generators, spawn_seeds
 
 __all__ = [
-    "Bitset",
     "as_generator",
     "spawn_generators",
     "spawn_seeds",

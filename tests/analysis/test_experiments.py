@@ -160,3 +160,30 @@ class TestDeterminism:
         a = run_experiment("E1", seed=3)
         b = run_experiment("E1", seed=3)
         assert a.rows == b.rows
+
+
+class TestSolverTrials:
+    def test_in_process_equals_worker_pool(self):
+        # One cell body: in-process trials report the same rounds, depth,
+        # work and machine summary as trials fanned out over workers.
+        from dataclasses import fields
+
+        from repro.analysis.experiments import _solver_trials
+        from repro.core import beame_luby
+        from repro.exec import ParallelRunner, use_runner
+        from repro.generators import uniform_hypergraph
+
+        H = uniform_hypergraph(60, 120, 3, seed=0)
+
+        def rows(trials):
+            return [
+                {f.name: getattr(t, f.name) for f in fields(t) if f.name != "wall_ns"}
+                | {"independent_set": t.independent_set.tolist()}
+                for t in trials
+            ]
+
+        local = rows(_solver_trials(H, beame_luby, [1, 2]))
+        with ParallelRunner(2) as runner, use_runner(runner):
+            pooled = rows(_solver_trials(H, beame_luby, [1, 2]))
+        assert local == pooled
+        assert all(r["depth"] > 0 and r["work"] > 0 and r["machine"] for r in local)

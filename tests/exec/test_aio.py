@@ -1,4 +1,4 @@
-"""AsyncBatchExecutor: awaitable batches, per-mode failure isolation."""
+"""AsyncBatchExecutor: awaitable batches, per-cell failure isolation in both modes."""
 
 from __future__ import annotations
 
@@ -120,6 +120,29 @@ class TestPool:
         assert counters["exec/pool_rebuilds"] == 1
         # ...but the rebuilt pool serves the next batch normally
         assert len(healthy) == 1 and healthy[0].ok
+
+    def test_failing_cell_is_isolated(self):
+        cells = [
+            Cell(instance=_INSTANCE, fn=karp_upfal_wigderson, seed=0),
+            Cell(instance=_INSTANCE, fn=_raise, seed=1),
+            Cell(instance=_INSTANCE, fn=greedy_mis, seed=2),
+        ]
+
+        async def main():
+            async with AsyncBatchExecutor(1) as executor:
+                return await executor.solve_batch(cells)
+
+        with metrics.isolated_registry() as registry:
+            outcomes = asyncio.run(main())
+            counters = registry.snapshot()["counters"]
+        assert [o.ok for o in outcomes] == [True, False, True]
+        assert "ValueError: solver exploded" in (outcomes[1].error or "")
+        assert outcomes[2].result is not None
+        assert np.array_equal(
+            outcomes[2].result.independent_set, greedy_mis(_INSTANCE, 2).independent_set
+        )
+        assert counters["exec/cells_failed"] == 1
+        assert "exec/pool_rebuilds" not in counters
 
     def test_solver_exception_in_worker_fails_batch_without_rebuild(self):
         async def main():

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import greedy_mis, karp_upfal_wigderson
-from repro.exec import Cell, ParallelRunner, WorkerPool, current_runner, use_runner
+from repro.exec import Cell, ParallelRunner, current_runner, use_runner
 from repro.generators import uniform_hypergraph
 from repro.util.rng import spawn_seeds
 
@@ -48,8 +49,30 @@ def _crash(H, seed, machine=None, **options):
     os._exit(1)
 
 
+def _raise(H, seed, machine=None, **options):
+    raise ValueError("solver exploded")
+
+
+class _KeywordError(Exception):
+    """An exception that pickles but does not unpickle (keyword-only init)."""
+
+    def __init__(self, *, reason: str):
+        super().__init__(reason)
+
+
+def _raise_keyword_error(H, seed, machine=None, **options):
+    raise _KeywordError(reason="odd exception")
+
+
+def _fields(result) -> dict:
+    """Every CellResult field but the wall time, comparable with ``==``."""
+    out = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "wall_ns"}
+    out["independent_set"] = out["independent_set"].tolist()
+    return out
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [0, 1, 2, 4])
     def test_bit_identical_to_serial(self, workers):
         reference = _serial_reference(("exec-det", workers))
         with ParallelRunner(workers) as runner:
@@ -60,14 +83,14 @@ class TestDeterminism:
             assert np.array_equal(got.independent_set, want.independent_set)
 
     def test_worker_count_does_not_change_results(self):
+        # Every mode runs the one cell body: all fields but wall_ns agree.
         outcomes = []
-        for workers in (1, 2):
+        for workers in (0, 1, 2):
             with ParallelRunner(workers) as runner:
                 results = runner.run_cells(_make_cells("exec-wc"))
-            outcomes.append(
-                [(r.mis_size, r.num_rounds, tuple(r.independent_set)) for r in results]
-            )
-        assert outcomes[0] == outcomes[1]
+            outcomes.append([_fields(r) for r in results])
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert all(r["depth"] > 0 and r["machine"] for r in outcomes[0])
 
 
 class TestRunCells:
@@ -100,6 +123,39 @@ class TestRunCells:
         assert greedy_res.mis_size > 0
         assert kuw_res.num_rounds >= 1
 
+    def test_in_process_accepts_closures(self):
+        # No pickling in-process: a closure is a fine cell function.
+        calls = []
+
+        def solve(H, seed, **options):
+            calls.append(seed)
+            return greedy_mis(H, seed, **options)
+
+        with ParallelRunner(0) as runner:
+            (result,) = runner.run_cells([Cell(instance=_INSTANCE, fn=solve, seed=3)])
+        assert calls == [3] and result.mis_size > 0
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_failing_cell_fails_only_itself(self, workers):
+        cells = _make_cells("exec-fail", repeats=3)
+        cells[1] = Cell(instance=_INSTANCE, fn=_raise, seed=0)
+        with ParallelRunner(workers) as runner:
+            outcomes = runner.cell_outcomes(cells)
+            with pytest.raises(ValueError, match="solver exploded"):
+                runner.run_cells(cells)
+        assert [type(o).__name__ for o in outcomes] == ["CellResult", "ValueError", "CellResult"]
+
+    def test_exception_that_cannot_cross_back_keeps_the_pool(self):
+        cells = [
+            Cell(instance=_INSTANCE, fn=_raise_keyword_error, seed=0),
+            *_make_cells("exec-odd", repeats=1),
+        ]
+        with ParallelRunner(1) as runner:
+            failed, ok = runner.cell_outcomes(cells)
+        assert isinstance(failed, RuntimeError)
+        assert "_KeywordError: odd exception" in str(failed)
+        assert ok.mis_size > 0
+
     def test_lambda_function_rejected_with_clear_error(self):
         cells = [Cell(instance=_INSTANCE, fn=lambda H, s, **kw: None, seed=0)]
         with ParallelRunner(1) as runner:
@@ -117,6 +173,11 @@ class TestMapTasks:
             assert runner.map_tasks(_square, list(range(8))) == [
                 i * i for i in range(8)
             ]
+
+    def test_in_process_runs_closures_in_order(self):
+        offset = 10
+        with ParallelRunner(0) as runner:
+            assert runner.map_tasks(lambda x: x + offset, [1, 2, 3]) == [11, 12, 13]
 
     def test_empty_items(self):
         with ParallelRunner(1) as runner:
@@ -194,18 +255,20 @@ class TestLifecycle:
             assert not runner.closed
         assert runner.closed
 
-    def test_borrowed_pool_survives_runner(self):
-        with WorkerPool(1) as pool:
-            with ParallelRunner(pool) as runner:
-                runner.run_cells(_make_cells("exec-borrow", repeats=1))
-            assert not pool.closed  # borrowed, so the runner left it open
-        assert pool.closed
-
     def test_run_after_close_raises(self):
         runner = ParallelRunner(1)
         runner.close()
         with pytest.raises(RuntimeError, match="closed"):
             runner.run_cells(_make_cells("exec-closed", repeats=1))
+
+    def test_in_process_run_after_close_raises(self):
+        runner = ParallelRunner(0)
+        runner.close()
+        assert runner.closed and runner.workers == 0
+        with pytest.raises(RuntimeError, match="closed"):
+            runner.run_cells(_make_cells("exec-closed", repeats=1))
+        with pytest.raises(RuntimeError, match="closed"):
+            runner.map_tasks(_square, [1])
 
     def test_close_idempotent(self):
         runner = ParallelRunner(1)

@@ -118,3 +118,20 @@ class TestWithoutTracer:
         assert [r.mis_size for r in traced] == [r.mis_size for r in untraced]
         for a, b in zip(traced, untraced):
             assert np.array_equal(a.independent_set, b.independent_set)
+
+
+class TestInProcessShape:
+    def test_same_tree_as_a_worker_run(self):
+        # In-process cells run the worker's cell body under the ambient
+        # tracer: the same span names under the same parents.
+        def shape(spans):
+            by_id = {s["id"]: s["name"] for s in spans}
+            return sorted((s["name"], by_id.get(s.get("parent"))) for s in spans)
+
+        local, local_spans, local_reg = _run_traced("tele-shape", workers=0)
+        pooled, pooled_spans, _ = _run_traced("tele-shape", workers=1)
+        assert shape(local_spans) == shape(pooled_spans)
+        assert ("exec/cell", "exec/run_cells") in shape(local_spans)
+        assert [r.depth for r in local] == [r.depth for r in pooled]
+        counters = local_reg.snapshot()["counters"]
+        assert counters["exec/cells_run"] == counters["exec/cells_done"] == 2

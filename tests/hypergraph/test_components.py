@@ -10,8 +10,31 @@ from repro.hypergraph import Hypergraph
 from repro.hypergraph.components import (
     component_labels,
     connected_components,
+    incidence_labels,
     num_components,
 )
+from repro.hypergraph.edgestore import EdgeStore
+
+
+def _coo_labels(n: int, store: EdgeStore) -> np.ndarray:
+    """The spec: the vertex–edge graph as COO, with a per-position edge id."""
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
+
+    m = store.num_edges
+    rows = store.indices
+    cols = n + np.repeat(np.arange(m, dtype=np.intp), store.sizes())
+    graph = sp.coo_matrix(
+        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n + m, n + m)
+    )
+    return csgraph.connected_components(graph, directed=False)[1][:n]
+
+
+def _partition(labels: np.ndarray) -> set[frozenset[int]]:
+    groups: dict[int, set[int]] = {}
+    for v, label in enumerate(labels.tolist()):
+        groups.setdefault(label, set()).add(v)
+    return {frozenset(g) for g in groups.values()}
 
 
 class TestLabels:
@@ -44,6 +67,29 @@ class TestLabels:
 
     def test_edgeless(self):
         assert num_components(Hypergraph(4)) == 4
+
+
+class TestIncidenceLabels:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_partition_matches_coo_spec(self, seed):
+        # random stores: empty ones, isolated vertices and size-1 edges included
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 25)) if seed % 4 else 0
+        edges = {
+            tuple(sorted(rng.choice(n, size=min(n, int(rng.integers(1, 5))), replace=False)))
+            for _ in range(m)
+        }
+        store = EdgeStore.from_iterable(edges)
+        got = incidence_labels(n, store.indptr, store.indices)
+        assert got.shape == (n,)
+        assert _partition(got) == _partition(_coo_labels(n, store))
+
+    def test_empty_store_leaves_every_vertex_alone(self):
+        store = EdgeStore.from_iterable([])
+        assert _partition(incidence_labels(3, store.indptr, store.indices)) == {
+            frozenset({0}), frozenset({1}), frozenset({2})
+        }
 
 
 class TestSplit:

@@ -17,7 +17,6 @@ import contextlib
 import http.client
 import json
 import socket
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -51,19 +50,23 @@ class _Held:
     While it runs the executor is busy: requests that arrive meanwhile
     queue (or coalesce onto its cell) and leave as the next batch.  Once
     released it solves as :func:`beame_luby`, or with ``fail=True`` raises,
-    so that it adds no solved cell.
+    so that it adds no solved cell.  The gate is a file under *tmp_path*,
+    so a held solve in a worker process sees the release too.
     """
 
-    def __init__(self, *, fail: bool = False):
+    def __init__(self, tmp_path, *, fail: bool = False):
         self.fail = fail
-        self._gate = threading.Event()
+        self._gate = tmp_path / "held.gate"
 
     def release(self) -> None:
-        self._gate.set()
+        self._gate.touch()
 
     def __call__(self, H, seed, machine=None, **options):
-        if not self._gate.wait(30):
-            raise TimeoutError("held solve was never released")
+        deadline = time.monotonic() + 30
+        while not self._gate.exists():
+            if time.monotonic() > deadline:
+                raise TimeoutError("held solve was never released")
+            time.sleep(0.001)
         if self.fail:
             raise RuntimeError("held solve failed on purpose")
         return beame_luby(H, seed, machine=machine, **options)
@@ -131,7 +134,7 @@ class TestCoalescing:
     def test_concurrent_duplicates_cost_one_solve(self, tmp_path):
         # The first duplicate's solve is held, so the other seven arrive
         # while its cell is queued or in flight and attach to it.
-        held = _Held()
+        held = _Held(tmp_path)
         config = _held_config(tmp_path, held)
         docs = [_solve_doc(_H1, "held", 3, req_id=f"r{i}") for i in range(8)]
         with _serving(config, held) as (handle, client, pool):
@@ -201,7 +204,7 @@ class TestOverload:
         # A held (and then failing) solve keeps the executor busy past the
         # deadline, so the request must be answered 'expired' without ever
         # reaching a solver.
-        held = _Held(fail=True)
+        held = _Held(tmp_path, fail=True)
         config = _held_config(tmp_path, held)
 
         def solve_late():
@@ -222,7 +225,7 @@ class TestOverload:
         assert stats["solved_cells"] == 0
 
     def test_admission_rejects_past_queue_limit(self, tmp_path):
-        held = _Held()
+        held = _Held(tmp_path)
         config = _held_config(tmp_path, held, queue_limit=1)
         docs = [_solve_doc(_H1, "bl", seed, req_id=f"q{seed}") for seed in range(4)]
         with _serving(config, held) as (_, client, pool):
@@ -240,7 +243,7 @@ class TestOverload:
         assert all(r.get("retry") is True for r in rejected)
 
     def test_duplicates_coalesce_even_at_the_bound(self, tmp_path):
-        held = _Held()
+        held = _Held(tmp_path)
         config = _held_config(tmp_path, held, queue_limit=1)
         docs = [_solve_doc(_H1, "bl", 5, req_id=f"d{i}") for i in range(4)]
         with _serving(config, held) as (_, client, pool):
@@ -256,7 +259,7 @@ class TestOverload:
 
 class TestGroupCommit:
     def test_requests_queued_behind_a_batch_leave_as_one_batch(self, tmp_path):
-        held = _Held()
+        held = _Held(tmp_path)
         config = _held_config(tmp_path, held)
         docs = [_solve_doc(_H1, "bl", seed, req_id=f"n{seed}") for seed in range(6)]
         with metrics.isolated_registry() as registry:
@@ -290,9 +293,15 @@ class TestGroupCommit:
 
 class TestFailureIsolation:
     def test_crashing_solver_fails_only_its_request(self, tmp_path):
+        self._check_failing_cell_fails_only_itself(tmp_path)
+
+    def test_raising_solver_fails_only_its_request_in_a_worker(self, tmp_path):
+        self._check_failing_cell_fails_only_itself(tmp_path, workers=1)
+
+    def _check_failing_cell_fails_only_itself(self, tmp_path, **over):
         # Both requests queue behind a held solve, so they share a batch.
-        held = _Held()
-        config = _held_config(tmp_path, held)
+        held = _Held(tmp_path)
+        config = _held_config(tmp_path, held, **over)
         docs = [
             _solve_doc(_H1, "boom", 0, req_id="bad"),
             _solve_doc(_H1, "bl", 0, req_id="good"),
@@ -315,6 +324,26 @@ class TestFailureIsolation:
 
 
 class TestProtocolSurface:
+    def test_unexpected_exception_gets_an_error_answer(self, tmp_path, monkeypatch):
+        from repro.service import server as server_module
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("parser exploded")
+
+        monkeypatch.setattr(server_module, "parse_solve_request", explode)
+        config = _config(tmp_path)
+        with metrics.isolated_registry() as registry:
+            with ServerThread(config):
+                with SolveClient(config.socket_path, timeout=1.0) as client:
+                    response = client.request(_solve_doc(_H1, req_id="r1"))
+                    # the connection outlives the failed request
+                    assert client.ping() is True
+            counters = registry.snapshot()["counters"]
+        assert response["status"] == "error"
+        assert response["id"] == "r1"
+        assert "RuntimeError: parser exploded" in response["error"]
+        assert counters["service/internal_errors"] == 1
+
     def test_bad_requests_and_ops(self, tmp_path):
         config = _config(tmp_path)
         with ServerThread(config):
